@@ -10,10 +10,10 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::parser::{parse_file, PanicKind, ParsedFile};
 use crate::rules::{
     in_r1_scope, in_r4_scope, in_r6_domain, in_r7_scope, in_r8_scope, in_r9_scope, is_r6_entry,
-    suppression_budget, METRIC_FILE, METRIC_IDS, R1_BANNED_IDENTS, REPORT_FILE,
-    RULE_BAD_SUPPRESSION, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
-    RULE_FORBID_UNSAFE, RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM,
-    RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION, TRACE_COUNTERS, TRACE_FILE,
+    suppression_budget, METRIC_FILE, METRIC_IDS, R1_BANNED_IDENTS, RULE_BAD_SUPPRESSION,
+    RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_FORBID_UNSAFE,
+    RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
+    RULE_UNUSED_SUPPRESSION, TRACE_FILE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,24 +111,16 @@ struct Directive {
     used: usize,
 }
 
-/// Cross-file state for the counter-accounting rule.
+/// Cross-file state for the counter-accounting rule (R3).
 #[derive(Debug, Default)]
 struct CounterState {
     /// `TraceKind` variants with the line each is declared on.
     variants: Vec<(String, usize)>,
-    /// Line of the `enum TraceKind` declaration.
-    trace_enum_line: usize,
-    /// Fields of `AsyncReport` and `CommReport` with declaration lines.
-    counter_fields: BTreeMap<String, usize>,
-    /// Line of the `struct AsyncReport` declaration.
-    async_report_line: usize,
-    /// Whether both input files were present.
+    /// Whether the trace file was present.
     saw_trace: bool,
-    saw_report: bool,
-    /// `TraceKind::X` references seen in non-test code anywhere.
+    /// `TraceKind::X` emissions seen in non-test code outside the trace
+    /// file.
     emitted: BTreeSet<String>,
-    /// Identifiers referenced in non-test code outside `report.rs`.
-    used_idents: BTreeSet<String>,
 }
 
 /// Cross-file state for the metric-accounting rule (R5).
@@ -748,7 +740,11 @@ fn scan_r4(file: &SourceFile, tokens: &[Tok], findings: &mut Vec<Finding>) {
     ));
 }
 
-/// Gathers the R3 inputs from one file.
+/// Gathers the R3 inputs from one file. A `TraceKind::X` path counts as
+/// an emission unless it is a match-arm pattern (followed by `=>` or
+/// `|`), a tally or trace read (the argument of a `count…(` call), or
+/// sits in the trace file itself, whose `ALL` table lists every variant
+/// without emitting any.
 fn collect_counter_state(
     file: &SourceFile,
     tokens: &[Tok],
@@ -756,46 +752,32 @@ fn collect_counter_state(
     state: &mut CounterState,
 ) {
     if file.path == TRACE_FILE {
-        if let Some((line, variants)) = parse_enum(tokens, "TraceKind") {
+        if let Some((_, variants)) = parse_enum(tokens, "TraceKind") {
             state.saw_trace = true;
-            state.trace_enum_line = line;
             state.variants = variants;
         }
-    }
-    if file.path == REPORT_FILE {
-        let mut fields = BTreeMap::new();
-        for name in ["AsyncReport", "CommReport", "FleetReport"] {
-            if let Some((line, parsed)) = parse_struct_fields(tokens, name) {
-                if name == "AsyncReport" {
-                    state.saw_report = true;
-                    state.async_report_line = line;
-                }
-                for (f, l) in parsed {
-                    fields.entry(f).or_insert(l);
-                }
-            }
-        }
-        state.counter_fields = fields;
+        return;
     }
     for (i, t) in tokens.iter().enumerate() {
-        if is_excluded(t.line) {
+        if is_excluded(t.line) || !t.is_ident("TraceKind") {
             continue;
         }
-        if t.is_ident("TraceKind") {
-            if let (Some(a), Some(b), Some(c)) =
-                (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3))
-            {
-                if a.is_punct(':') && b.is_punct(':') {
-                    if let Some(v) = c.ident() {
-                        state.emitted.insert(v.to_string());
-                    }
-                }
-            }
-        }
-        if file.path != REPORT_FILE {
-            if let Some(name) = t.ident() {
-                state.used_idents.insert(name.to_string());
-            }
+        let at = |k: usize| tokens.get(i + k);
+        let (Some(a), Some(b), Some(v)) = (at(1), at(2), at(3).and_then(|c| c.ident())) else {
+            continue;
+        };
+        let arm = match at(4) {
+            Some(n) if n.is_punct('|') => true,
+            Some(n) if n.is_punct('=') => at(5).is_some_and(|m| m.is_punct('>')),
+            _ => false,
+        };
+        let read = i >= 2
+            && tokens[i - 1].is_punct('(')
+            && tokens[i - 2]
+                .ident()
+                .is_some_and(|f| f.starts_with("count"));
+        if a.is_punct(':') && b.is_punct(':') && !arm && !read {
+            state.emitted.insert(v.to_string());
         }
     }
 }
@@ -895,71 +877,20 @@ fn check_metrics(state: &MetricState, findings: &mut Vec<Finding>) {
     }
 }
 
-/// R3: every `TraceKind` variant maps to a report counter, and both sides
-/// are live in non-test code.
+/// R3: every `TraceKind` variant is emitted in non-test code. The report
+/// counters read the trainers' per-kind tally, so an emitted kind is a
+/// counted kind.
 fn check_counters(state: &CounterState, findings: &mut Vec<Finding>) {
-    if !state.saw_trace || !state.saw_report {
+    if !state.saw_trace {
         return;
     }
-    let mapping: BTreeMap<&str, &str> = TRACE_COUNTERS.iter().copied().collect();
     for (variant, line) in &state.variants {
-        let Some(counter) = mapping.get(variant.as_str()) else {
-            findings.push(Finding::new(
-                TRACE_FILE,
-                *line,
-                RULE_COUNTER,
-                format!(
-                    "TraceKind::{variant} has no counter mapping; add a report counter \
-                     and map it in stsl-audit rules.rs TRACE_COUNTERS"
-                ),
-            ));
-            continue;
-        };
-        match state.counter_fields.get(*counter) {
-            None => findings.push(Finding::new(
-                REPORT_FILE,
-                state.async_report_line,
-                RULE_COUNTER,
-                format!(
-                    "TraceKind::{variant} maps to counter `{counter}`, which is missing \
-                     from AsyncReport/CommReport/FleetReport"
-                ),
-            )),
-            Some(field_line) => {
-                if !state.used_idents.contains(*counter) {
-                    findings.push(Finding::new(
-                        REPORT_FILE,
-                        *field_line,
-                        RULE_COUNTER,
-                        format!(
-                            "counter `{counter}` is declared but never referenced \
-                             outside report.rs; TraceKind::{variant} is unaccounted"
-                        ),
-                    ));
-                }
-            }
-        }
         if !state.emitted.contains(variant) {
             findings.push(Finding::new(
                 TRACE_FILE,
                 *line,
                 RULE_COUNTER,
                 format!("TraceKind::{variant} is never recorded in non-test code"),
-            ));
-        }
-    }
-    // Stale table entries point at variants that no longer exist.
-    let variant_names: BTreeSet<&str> = state.variants.iter().map(|(v, _)| v.as_str()).collect();
-    for (variant, _) in &TRACE_COUNTERS {
-        if !variant_names.contains(variant) {
-            findings.push(Finding::new(
-                TRACE_FILE,
-                state.trace_enum_line,
-                RULE_COUNTER,
-                format!(
-                    "stsl-audit TRACE_COUNTERS maps `{variant}`, which is not a \
-                     TraceKind variant; remove the stale table entry"
-                ),
             ));
         }
     }
@@ -988,35 +919,6 @@ fn parse_enum(tokens: &[Tok], name: &str) -> Option<(usize, Vec<(String, usize)>
         i += 1;
     }
     Some((tokens[start].line, variants))
-}
-
-/// Finds `struct <name> {…}` and returns its line plus `(field, line)`s.
-fn parse_struct_fields(tokens: &[Tok], name: &str) -> Option<(usize, Vec<(String, usize)>)> {
-    let start = find_item(tokens, "struct", name)?;
-    let open = (start..tokens.len()).find(|&i| tokens[i].is_punct('{'))?;
-    let mut fields = Vec::new();
-    let mut depth = 1usize;
-    let mut i = open + 1;
-    while i < tokens.len() && depth > 0 {
-        let t = &tokens[i];
-        match &t.kind {
-            TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Ident(f) if depth == 1 && f != "pub" => {
-                // A field is `ident :` not followed by another `:` (which
-                // would make it a path segment) and not preceded by one.
-                let next_colon = matches!(tokens.get(i + 1), Some(n) if n.is_punct(':'));
-                let double = matches!(tokens.get(i + 2), Some(n) if n.is_punct(':'));
-                let prev_colon = i > 0 && tokens[i - 1].is_punct(':');
-                if next_colon && !double && !prev_colon {
-                    fields.push((f.clone(), t.line));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((tokens[start].line, fields))
 }
 
 /// Index of the `kw` token of `kw name` (e.g. `struct AsyncReport`).

@@ -3,7 +3,7 @@
 //! directive silences the finding and shows up in the suppression ledger.
 
 use stsl_audit::rules::{
-    METRIC_FILE, REPORT_FILE, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
+    METRIC_FILE, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
     RULE_FORBID_UNSAFE, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
     RULE_UNUSED_SUPPRESSION, TRACE_FILE,
 };
@@ -203,60 +203,79 @@ fn r9_allow_silences_and_is_counted() {
     assert_silenced(&report, RULE_ENV_READ);
 }
 
-#[test]
-fn r3_missing_counter_fires_exactly_once() {
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_missing_counter.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert_fires_once(&report, RULE_COUNTER);
-    assert!(
-        report.findings[0].message.contains("rollbacks"),
-        "finding should name the missing counter: {}",
-        report.findings[0]
-    );
-    assert_eq!(report.findings[0].path, REPORT_FILE);
-}
-
-#[test]
-fn r3_complete_contract_is_clean() {
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_good.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-}
-
-#[test]
-fn r3_allow_silences_and_is_counted() {
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_missing_counter_allowed.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert_silenced(&report, RULE_COUNTER);
-}
-
-#[test]
-fn r3_unemitted_variant_is_caught() {
-    // Drop the Rollback emission from the emit fixture: the variant is
-    // declared and mapped but never recorded.
+/// The R3 liveness fixtures: the trace enum plus non-test code emitting
+/// every variant, with the emissions of `drop` removed.
+fn r3_fixtures(drop: &[&str]) -> Vec<SourceFile> {
     let mut emit = fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs");
     emit.text = emit
         .text
         .lines()
-        .filter(|l| !l.contains("TraceKind::Rollback"))
+        .filter(|l| !drop.iter().any(|v| l.contains(&format!("TraceKind::{v})"))))
         .collect::<Vec<_>>()
         .join("\n");
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_good.rs"),
-        emit,
-    ]);
+    vec![fixture(TRACE_FILE, "r3_trace.rs"), emit]
+}
+
+#[test]
+fn r3_complete_contract_is_clean() {
+    let report = audit(&r3_fixtures(&[]));
+    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+}
+
+#[test]
+fn r3_unemitted_variant_is_caught() {
+    // Rollback is declared but never recorded.
+    let report = audit(&r3_fixtures(&["Rollback"]));
     assert_fires_once(&report, RULE_COUNTER);
     assert!(report.findings[0].message.contains("never recorded"));
+    assert!(report.findings[0].message.contains("Rollback"));
+    assert_eq!(report.findings[0].path, TRACE_FILE);
+}
+
+#[test]
+fn r3_allow_silences_and_is_counted() {
+    // The finding anchors at the variant's declaration, so that is where
+    // the directive goes.
+    let mut files = r3_fixtures(&["Rollback"]);
+    files[0].text = files[0].text.replace(
+        "    Rollback,",
+        "    Rollback, // stsl-audit: allow(counter-accounting, reason = \"fixture exercising suppression of a cross-file finding\")",
+    );
+    let report = audit(&files);
+    assert_silenced(&report, RULE_COUNTER);
+}
+
+#[test]
+fn r3_match_arms_and_count_reads_are_not_emissions() {
+    // Rollback and ServiceStart survive only as match-arm patterns and a
+    // tally read.
+    let mut files = r3_fixtures(&["Rollback", "ServiceStart"]);
+    files.push(fixture(
+        "crates/split/src/fixture_arms.rs",
+        "r3_match_arm.rs",
+    ));
+    let report = audit(&files);
+    let mut named: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, RULE_COUNTER);
+            if f.message.contains("Rollback") {
+                "Rollback"
+            } else if f.message.contains("ServiceStart") {
+                "ServiceStart"
+            } else {
+                panic!("unexpected finding: {f}")
+            }
+        })
+        .collect();
+    named.sort_unstable();
+    assert_eq!(
+        named,
+        ["Rollback", "ServiceStart"],
+        "{:#?}",
+        report.findings
+    );
 }
 
 #[test]

@@ -47,4 +47,4 @@ pub use network::{Delivery, Direction, SimNetwork};
 pub use stats::{LatencyStats, TrafficCounter};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EndSystemId, GeoPoint, StarTopology};
-pub use trace::{TraceEvent, TraceKind, TraceLog};
+pub use trace::{TraceEvent, TraceKind, TraceLog, TraceTally};

@@ -74,6 +74,67 @@ pub enum TraceKind {
     CohortStep,
 }
 
+impl TraceKind {
+    /// Every variant, in declaration order: `ALL[k.index()] == k`. A
+    /// variant missing here has no [`TraceTally`] slot, so counting it
+    /// panics on its first emission.
+    pub const ALL: [TraceKind; 30] = [
+        TraceKind::Arrival,
+        TraceKind::ServiceStart,
+        TraceKind::GradientDelivered,
+        TraceKind::SchedulerDrop,
+        TraceKind::NetworkDrop,
+        TraceKind::Retransmit,
+        TraceKind::RetryExhausted,
+        TraceKind::ClientCrash,
+        TraceKind::ClientRecover,
+        TraceKind::CheckpointSave,
+        TraceKind::CheckpointRestore,
+        TraceKind::PayloadCorrupted,
+        TraceKind::CorruptRejected,
+        TraceKind::AnomalyRejected,
+        TraceKind::Quarantine,
+        TraceKind::QuarantineRelease,
+        TraceKind::QuarantineDrop,
+        TraceKind::Rollback,
+        TraceKind::SnapshotEmit,
+        TraceKind::JournalDrop,
+        TraceKind::ClientJoin,
+        TraceKind::ClientLeave,
+        TraceKind::ClientRejoin,
+        TraceKind::IngressShed,
+        TraceKind::BreakerTrip,
+        TraceKind::DeadlinePartialApply,
+        TraceKind::AttackInjected,
+        TraceKind::RobustApply,
+        TraceKind::RobustOutlier,
+        TraceKind::CohortStep,
+    ];
+
+    /// Dense position of this kind, for arrays indexed by kind.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Per-kind event counts. Unlike a [`TraceLog`] a tally is never
+/// capacity-limited and is kept whether or not tracing is on, so report
+/// counters read from it agree with the trace by construction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceTally([u64; TraceKind::ALL.len()]);
+
+impl TraceTally {
+    /// Counts one event of `kind`.
+    pub fn bump(&mut self, kind: TraceKind) {
+        self.0[kind.index()] += 1;
+    }
+
+    /// Events of `kind` counted so far.
+    pub fn count(&self, kind: TraceKind) -> u64 {
+        self.0[kind.index()]
+    }
+}
+
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -233,5 +294,17 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "time_us,kind,end_system");
         assert_eq!(lines[1], "2000,SchedulerDrop,3");
+    }
+
+    #[test]
+    fn all_lists_every_kind_at_its_index() {
+        for (i, kind) in TraceKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+        let mut tally = TraceTally::default();
+        tally.bump(TraceKind::CohortStep);
+        tally.bump(TraceKind::CohortStep);
+        assert_eq!(tally.count(TraceKind::CohortStep), 2);
+        assert_eq!(tally.count(TraceKind::Arrival), 0);
     }
 }

@@ -56,7 +56,7 @@ use rand::Rng;
 use stsl_data::{ImageDataset, Partition};
 use stsl_simnet::{
     corrupt_payload, AttackSpec, EndSystemId, EventQueue, FaultPlan, SimDuration, SimTime,
-    StarTopology, TraceKind, TraceLog,
+    StarTopology, TraceKind, TraceLog, TraceTally,
 };
 use stsl_telemetry::{JournalKind, MetricId, TelemetryHub};
 use stsl_tensor::init::{derive_seed, rng_from_seed};
@@ -151,9 +151,11 @@ pub struct AsyncSplitTrainer {
     retry_rng: rand::rngs::StdRng,
     server_busy_until: SimTime,
     comm: CommReport,
-    network_drops: u64,
     client_epoch: Vec<u64>,
     trace: Option<TraceLog>,
+    /// Per-run count of every emitted [`TraceKind`]; the report's event
+    /// counters read it (see [`AsyncSplitTrainer::emit`]).
+    tally: TraceTally,
     // Fault tolerance.
     fault_plan: FaultPlan,
     retry: RetryPolicy,
@@ -165,21 +167,11 @@ pub struct AsyncSplitTrainer {
     down_since: Vec<Option<SimTime>>,
     downtime_us: Vec<u64>,
     stall_wake: Option<SimTime>,
-    retransmits: u64,
-    retry_exhausted: u64,
     batches_lost_per_client: Vec<u64>,
-    crash_events: u64,
-    recovery_events: u64,
-    checkpoint_saves: u64,
-    checkpoint_restores: u64,
     // Data-plane integrity.
     guard: Option<GuardConfig>,
     quarantine: QuarantineTracker,
     watchdog: HealthWatchdog,
-    corrupted_payloads: u64,
-    corrupted_rejected: u64,
-    anomalies_rejected: u64,
-    rollbacks: u64,
     // Observability.
     telemetry: Option<TelemetryHub>,
     telemetry_every: Option<SimDuration>,
@@ -190,16 +182,10 @@ pub struct AsyncSplitTrainer {
     buckets: Vec<TokenBucket>,
     deadlines: Option<DeadlineConfig>,
     deadline_snapshot: Vec<u64>,
-    clients_joined: u64,
-    bucket_shed: u64,
-    deadline_partial_applies: u64,
     quorum_lost: Option<QuorumLost>,
     // Byzantine resilience.
     attack_rngs: Vec<rand::rngs::StdRng>,
     attack_steps: Vec<u64>,
-    attacks_injected: u64,
-    robust_applies: u64,
-    robust_outliers: u64,
     updates_trimmed: u64,
     /// The window size [`AsyncSplitTrainer::with_robust_aggregation`]
     /// configured; the live window shrinks below it while senders sit in
@@ -279,9 +265,9 @@ impl AsyncSplitTrainer {
             retry_rng,
             server_busy_until: SimTime::ZERO,
             comm: CommReport::default(),
-            network_drops: 0,
             client_epoch: Vec::new(),
             trace: None,
+            tally: TraceTally::default(),
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::from_timeout(compute.retry_timeout),
             liveness_timeout,
@@ -292,20 +278,10 @@ impl AsyncSplitTrainer {
             down_since: vec![None; n],
             downtime_us: vec![0; n],
             stall_wake: None,
-            retransmits: 0,
-            retry_exhausted: 0,
             batches_lost_per_client: vec![0; n],
-            crash_events: 0,
-            recovery_events: 0,
-            checkpoint_saves: 0,
-            checkpoint_restores: 0,
             guard: None,
             quarantine: QuarantineTracker::new(n, &GuardConfig::default()),
             watchdog: HealthWatchdog::new(&GuardConfig::default()),
-            corrupted_payloads: 0,
-            corrupted_rejected: 0,
-            anomalies_rejected: 0,
-            rollbacks: 0,
             telemetry: None,
             telemetry_every: None,
             membership: Membership::new(n),
@@ -314,15 +290,9 @@ impl AsyncSplitTrainer {
             buckets: Vec::new(),
             deadlines: None,
             deadline_snapshot: vec![0; n],
-            clients_joined: 0,
-            bucket_shed: 0,
-            deadline_partial_applies: 0,
             quorum_lost: None,
             attack_rngs: Vec::new(),
             attack_steps: vec![0; n],
-            attacks_injected: 0,
-            robust_applies: 0,
-            robust_outliers: 0,
             updates_trimmed: 0,
             robust_window_base: 0,
             queued_ticks: 0,
@@ -530,12 +500,6 @@ impl AsyncSplitTrainer {
         self.trace.as_ref()
     }
 
-    fn trace_event(&mut self, at: SimTime, kind: TraceKind, id: EndSystemId) {
-        if let Some(log) = &mut self.trace {
-            log.record(at, kind, id);
-        }
-    }
-
     /// The id used for server-scoped trace events (one past the last
     /// end-system).
     fn server_trace_id(&self) -> EndSystemId {
@@ -557,18 +521,29 @@ impl AsyncSplitTrainer {
         self.events.len() > self.queued_ticks
     }
 
-    /// Journals an event into the telemetry hub (if attached). A ring
-    /// eviction is itself an accountable loss: it is traced as
-    /// [`TraceKind::JournalDrop`] and surfaces as
-    /// `AsyncReport::journal_dropped`.
-    fn journal_event(&mut self, at: SimTime, kind: JournalKind, id: EndSystemId) {
-        let Some(hub) = &mut self.telemetry else {
-            return;
-        };
-        let evicted = hub.journal(at.as_micros(), kind, id.0 as u64);
-        if evicted {
-            self.trace_event(at, TraceKind::JournalDrop, id);
+    /// The one event seam. Records `kind` in the trace (if enabled),
+    /// counts it in the per-run tally every report counter reads, and
+    /// journals it into the telemetry hub (if attached) when it has a
+    /// journal counterpart. A journal eviction is itself an accountable
+    /// loss and is emitted as [`TraceKind::JournalDrop`].
+    fn emit(&mut self, at: SimTime, kind: TraceKind, id: EndSystemId) {
+        if let Some(log) = &mut self.trace {
+            log.record(at, kind, id);
         }
+        self.tally.bump(kind);
+        if let (Some(hub), Some(journal)) = (&mut self.telemetry, journal_kind(kind)) {
+            if hub.journal(at.as_micros(), journal, id.0 as u64) {
+                self.emit(at, TraceKind::JournalDrop, id);
+            }
+        }
+    }
+
+    /// Emits `kind` for `id`'s outstanding batch, counts the batch as lost
+    /// and schedules its abandonment at `at`.
+    fn lose_batch(&mut self, at: SimTime, kind: TraceKind, id: EndSystemId) {
+        self.emit(at, kind, id);
+        self.batches_lost_per_client[id.0] += 1;
+        self.events.schedule(at, Event::BatchAbandon(id));
     }
 
     /// Emits one telemetry snapshot at `t` (traced as
@@ -578,10 +553,12 @@ impl AsyncSplitTrainer {
             return;
         }
         let server_id = self.server_trace_id();
-        let shed = self.queue.shed() + self.bucket_shed;
+        let shed = self.tally.count(TraceKind::IngressShed);
         let overload = self.overload.is_some();
         let robust = self.server.robust_enabled();
-        let rejected = self.robust_outliers + self.anomalies_rejected + self.quarantine.drops();
+        let rejected = self.tally.count(TraceKind::RobustOutlier)
+            + self.tally.count(TraceKind::AnomalyRejected)
+            + self.tally.count(TraceKind::QuarantineDrop);
         if let Some(hub) = &mut self.telemetry {
             if overload {
                 // Cumulative shed total sampled once per snapshot — the
@@ -596,8 +573,7 @@ impl AsyncSplitTrainer {
             }
             hub.emit_snapshot(t.as_micros());
         }
-        self.trace_event(t, TraceKind::SnapshotEmit, server_id);
-        self.journal_event(t, JournalKind::SnapshotEmit, server_id);
+        self.emit(t, TraceKind::SnapshotEmit, server_id);
     }
 
     /// Runs the configured number of client epochs to completion and
@@ -675,9 +651,7 @@ impl AsyncSplitTrainer {
         }
         self.membership = membership;
         self.deadline_snapshot = vec![0; n];
-        self.clients_joined = 0;
-        self.bucket_shed = 0;
-        self.deadline_partial_applies = 0;
+        self.tally = TraceTally::default();
         self.quorum_lost = None;
         self.queued_ticks = 0;
         // Adversary streams are derived per client and consulted only
@@ -687,9 +661,6 @@ impl AsyncSplitTrainer {
             .map(|i| rng_from_seed(derive_seed(self.config.seed, 7000 + i as u64)))
             .collect();
         self.attack_steps = vec![0; n];
-        self.attacks_injected = 0;
-        self.robust_applies = 0;
-        self.robust_outliers = 0;
         self.updates_trimmed = 0;
         self.server.clear_robust_buffer();
         if let Some(cfg) = self.overload {
@@ -812,18 +783,13 @@ impl AsyncSplitTrainer {
                         continue;
                     }
                     if self.guard.is_some() {
-                        match self
-                            .quarantine
-                            .admit_observed(id.0, t, self.telemetry.as_mut())
-                        {
+                        match self.quarantine.admit(id.0, t) {
                             QuarantineStatus::Dropped => {
-                                self.trace_event(t, TraceKind::QuarantineDrop, id);
-                                self.batches_lost_per_client[id.0] += 1;
-                                self.events.schedule(t, Event::BatchAbandon(id));
+                                self.lose_batch(t, TraceKind::QuarantineDrop, id);
                                 continue;
                             }
                             QuarantineStatus::Released => {
-                                self.trace_event(t, TraceKind::QuarantineRelease, id);
+                                self.emit(t, TraceKind::QuarantineRelease, id);
                                 self.resize_robust_window(t);
                             }
                             QuarantineStatus::Clear => {}
@@ -840,15 +806,10 @@ impl AsyncSplitTrainer {
                         // Rate limit: the sender is over its admission
                         // budget, so the batch is refused at the ingress
                         // edge and never counts as an arrival.
-                        self.bucket_shed += 1;
-                        self.trace_event(t, TraceKind::IngressShed, id);
-                        self.journal_event(t, JournalKind::IngressShed, id);
-                        self.batches_lost_per_client[id.0] += 1;
-                        self.events.schedule(t, Event::BatchAbandon(id));
+                        self.lose_batch(t, TraceKind::IngressShed, id);
                         continue;
                     }
-                    self.trace_event(t, TraceKind::Arrival, id);
-                    self.journal_event(t, JournalKind::Arrival, id);
+                    self.emit(t, TraceKind::Arrival, id);
                     if self.overload.is_some() {
                         let victims =
                             self.queue
@@ -856,11 +817,7 @@ impl AsyncSplitTrainer {
                         for victim in victims {
                             // Oldest-staleness-first shed: the longest-
                             // waiting pending batch makes room.
-                            let vid = victim.from;
-                            self.trace_event(t, TraceKind::IngressShed, vid);
-                            self.journal_event(t, JournalKind::IngressShed, vid);
-                            self.batches_lost_per_client[vid.0] += 1;
-                            self.events.schedule(t, Event::BatchAbandon(vid));
+                            self.lose_batch(t, TraceKind::IngressShed, victim.from);
                         }
                     } else {
                         self.queue.push_observed(t, msg, self.telemetry.as_mut());
@@ -875,8 +832,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue; // delivered into the void
                     }
-                    self.trace_event(t, TraceKind::GradientDelivered, id);
-                    self.journal_event(t, JournalKind::GradientDelivered, id);
+                    self.emit(t, TraceKind::GradientDelivered, id);
                     // A stale gradient (its batch was abandoned after a
                     // retry exhaustion or crash) is ignored; the client
                     // already moved on.
@@ -891,9 +847,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.retransmits += 1;
-                    self.trace_event(t, TraceKind::Retransmit, id);
-                    self.journal_event(t, JournalKind::Retransmit, id);
+                    self.emit(t, TraceKind::Retransmit, id);
                     self.send_uplink(msg, failures, t);
                 }
                 Event::DownlinkRetry { msg, failures } => {
@@ -901,9 +855,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.retransmits += 1;
-                    self.trace_event(t, TraceKind::Retransmit, id);
-                    self.journal_event(t, JournalKind::Retransmit, id);
+                    self.emit(t, TraceKind::Retransmit, id);
                     self.send_downlink(msg, failures, t);
                 }
                 Event::UplinkProbe { msg, failures } => {
@@ -925,8 +877,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.corrupted_rejected += 1;
-                    self.trace_event(t, TraceKind::CorruptRejected, id);
+                    self.emit(t, TraceKind::CorruptRejected, id);
                     let failures = failures + 1;
                     if self.retry.may_retry(failures) {
                         let delay = self.retry.backoff(failures, &mut self.retry_rng);
@@ -941,8 +892,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.corrupted_rejected += 1;
-                    self.trace_event(t, TraceKind::CorruptRejected, id);
+                    self.emit(t, TraceKind::CorruptRejected, id);
                     let failures = failures + 1;
                     if self.retry.may_retry(failures) {
                         let delay = self.retry.backoff(failures, &mut self.retry_rng);
@@ -964,10 +914,8 @@ impl AsyncSplitTrainer {
                         continue; // overlapping crash windows
                     }
                     self.crashed[id.0] = true;
-                    self.crash_events += 1;
                     self.down_since[id.0] = Some(t);
-                    self.trace_event(t, TraceKind::ClientCrash, id);
-                    self.journal_event(t, JournalKind::ClientCrash, id);
+                    self.emit(t, TraceKind::ClientCrash, id);
                     if self.clients[id.0].outstanding().is_some() {
                         self.clients[id.0].abandon_outstanding();
                         self.batches_lost_per_client[id.0] += 1;
@@ -978,20 +926,16 @@ impl AsyncSplitTrainer {
                         continue; // still inside an overlapping window
                     }
                     self.crashed[id.0] = false;
-                    self.recovery_events += 1;
                     if let Some(s) = self.down_since[id.0].take() {
                         self.downtime_us[id.0] += t.since(s).as_micros();
                     }
-                    self.trace_event(t, TraceKind::ClientRecover, id);
-                    self.journal_event(t, JournalKind::ClientRecover, id);
+                    self.emit(t, TraceKind::ClientRecover, id);
                     let state = self.ring.latest().map(|c| c.client_states[id.0].clone());
                     if let Some(state) = state {
                         // Crash-recovery restore: the private layers roll
                         // back to the newest persisted snapshot.
                         self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.checkpoint_restores += 1;
-                        self.trace_event(t, TraceKind::CheckpointRestore, id);
-                        self.journal_event(t, JournalKind::CheckpointRestore, id);
+                        self.emit(t, TraceKind::CheckpointRestore, id);
                     }
                     self.launch_next_batch(id, t);
                 }
@@ -1026,9 +970,7 @@ impl AsyncSplitTrainer {
                     {
                         continue;
                     }
-                    self.clients_joined += 1;
-                    self.trace_event(t, TraceKind::ClientJoin, id);
-                    self.journal_event(t, JournalKind::ClientJoin, id);
+                    self.emit(t, TraceKind::ClientJoin, id);
                     self.note_membership();
                     self.liveness.readmit(id, t);
                     // Server-seeded warm start: clone the most-served
@@ -1044,9 +986,7 @@ impl AsyncSplitTrainer {
                     };
                     if let Some(state) = state {
                         self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.checkpoint_restores += 1;
-                        self.trace_event(t, TraceKind::CheckpointRestore, id);
-                        self.journal_event(t, JournalKind::CheckpointRestore, id);
+                        self.emit(t, TraceKind::CheckpointRestore, id);
                     }
                     self.launch_next_batch(id, t);
                 }
@@ -1061,8 +1001,7 @@ impl AsyncSplitTrainer {
                     {
                         continue;
                     }
-                    self.trace_event(t, TraceKind::ClientLeave, id);
-                    self.journal_event(t, JournalKind::ClientLeave, id);
+                    self.emit(t, TraceKind::ClientLeave, id);
                     self.note_membership();
                     self.liveness.retire(id);
                     // The un-acked batch is rewound, not abandoned: if the
@@ -1086,8 +1025,7 @@ impl AsyncSplitTrainer {
                     // Rejoining -> Active is immediate in simulation; the
                     // two-step keeps the lifecycle auditable.
                     let _ = self.membership.transition(id.0, MembershipState::Active);
-                    self.trace_event(t, TraceKind::ClientRejoin, id);
-                    self.journal_event(t, JournalKind::ClientRejoin, id);
+                    self.emit(t, TraceKind::ClientRejoin, id);
                     self.note_membership();
                     self.liveness.readmit(id, t);
                     // Resync: the cursor was rewound at departure, so the
@@ -1126,10 +1064,8 @@ impl AsyncSplitTrainer {
                         // progress this round, so the stragglers'
                         // outstanding batches are abandoned instead of
                         // holding everyone back.
-                        self.deadline_partial_applies += 1;
                         let server_id = self.server_trace_id();
-                        self.trace_event(t, TraceKind::DeadlinePartialApply, server_id);
-                        self.journal_event(t, JournalKind::DeadlinePartial, server_id);
+                        self.emit(t, TraceKind::DeadlinePartialApply, server_id);
                         for id in stragglers {
                             self.batches_lost_per_client[id.0] += 1;
                             self.events.schedule(t, Event::BatchAbandon(id));
@@ -1184,6 +1120,7 @@ impl AsyncSplitTrainer {
         } else {
             stsl_tensor::mean_f32(&active)
         };
+        let tally = self.tally;
         let report = AsyncReport {
             policy: self.policy.to_string(),
             end_systems: self.config.end_systems,
@@ -1196,44 +1133,36 @@ impl AsyncSplitTrainer {
             mean_queue_depth: self.queue.mean_depth(),
             max_queue_depth: self.queue.max_depth(),
             mean_queue_wait_ms: self.queue.mean_wait().as_micros() as f64 / 1e3,
-            scheduler_drops: self.queue.dropped(),
-            network_drops: self.network_drops,
-            retransmits: self.retransmits,
-            retry_exhausted: self.retry_exhausted,
+            scheduler_drops: tally.count(TraceKind::SchedulerDrop),
+            network_drops: tally.count(TraceKind::NetworkDrop),
+            retransmits: tally.count(TraceKind::Retransmit),
+            retry_exhausted: tally.count(TraceKind::RetryExhausted),
             batches_lost: self.batches_lost_per_client.iter().sum(),
             batches_lost_per_client: self.batches_lost_per_client.clone(),
             downtime_ms_per_client: self.downtime_us.iter().map(|&us| us as f64 / 1e3).collect(),
-            crash_events: self.crash_events,
-            recovery_events: self.recovery_events,
-            checkpoint_saves: self.checkpoint_saves,
-            checkpoint_restores: self.checkpoint_restores,
+            crash_events: tally.count(TraceKind::ClientCrash),
+            recovery_events: tally.count(TraceKind::ClientRecover),
+            checkpoint_saves: tally.count(TraceKind::CheckpointSave),
+            checkpoint_restores: tally.count(TraceKind::CheckpointRestore),
             dead_clients_detected: self.liveness.dead_detections(),
-            corrupted_payloads: self.corrupted_payloads,
-            corrupted_rejected: self.corrupted_rejected,
-            anomalies_rejected: self.anomalies_rejected,
-            quarantines: self.quarantine.quarantines(),
-            quarantine_drops: self.quarantine.drops(),
-            quarantine_releases: self.quarantine.releases(),
-            rollbacks: self.rollbacks,
-            snapshots_emitted: self
-                .telemetry
-                .as_ref()
-                .map(|h| h.snapshots().len() as u64)
-                .unwrap_or(0),
-            journal_dropped: self
-                .telemetry
-                .as_ref()
-                .map(|h| h.journal_log().evicted())
-                .unwrap_or(0),
-            clients_joined: self.clients_joined,
-            clients_departed: self.membership.departed(),
-            rejoins: self.membership.rejoins(),
-            batches_shed: self.queue.shed() + self.bucket_shed,
-            breaker_trips: self.breaker.trips(),
-            deadline_partial_applies: self.deadline_partial_applies,
-            attacks_injected: self.attacks_injected,
-            robust_applies: self.robust_applies,
-            robust_outliers: self.robust_outliers,
+            corrupted_payloads: tally.count(TraceKind::PayloadCorrupted),
+            corrupted_rejected: tally.count(TraceKind::CorruptRejected),
+            anomalies_rejected: tally.count(TraceKind::AnomalyRejected),
+            quarantines: tally.count(TraceKind::Quarantine),
+            quarantine_drops: tally.count(TraceKind::QuarantineDrop),
+            quarantine_releases: tally.count(TraceKind::QuarantineRelease),
+            rollbacks: tally.count(TraceKind::Rollback),
+            snapshots_emitted: tally.count(TraceKind::SnapshotEmit),
+            journal_dropped: tally.count(TraceKind::JournalDrop),
+            clients_joined: tally.count(TraceKind::ClientJoin),
+            clients_departed: tally.count(TraceKind::ClientLeave),
+            rejoins: tally.count(TraceKind::ClientRejoin),
+            batches_shed: tally.count(TraceKind::IngressShed),
+            breaker_trips: tally.count(TraceKind::BreakerTrip),
+            deadline_partial_applies: tally.count(TraceKind::DeadlinePartialApply),
+            attacks_injected: tally.count(TraceKind::AttackInjected),
+            robust_applies: tally.count(TraceKind::RobustApply),
+            robust_outliers: tally.count(TraceKind::RobustOutlier),
             updates_trimmed: self.updates_trimmed,
             comm: self.comm,
         };
@@ -1333,10 +1262,8 @@ impl AsyncSplitTrainer {
             server_state,
             client_states,
         });
-        self.checkpoint_saves += 1;
         let server_id = self.server_trace_id();
-        self.trace_event(t, TraceKind::CheckpointSave, server_id);
-        self.journal_event(t, JournalKind::CheckpointSave, server_id);
+        self.emit(t, TraceKind::CheckpointSave, server_id);
     }
 
     /// Watchdog-triggered rollback: restore the newest ring checkpoint
@@ -1345,10 +1272,8 @@ impl AsyncSplitTrainer {
     /// and re-arm the watchdog. Repeated divergences pop progressively
     /// older entries.
     fn rollback(&mut self, t: SimTime, guard: &GuardConfig) {
-        self.rollbacks += 1;
         let server_id = self.server_trace_id();
-        self.trace_event(t, TraceKind::Rollback, server_id);
-        self.journal_event(t, JournalKind::Rollback, server_id);
+        self.emit(t, TraceKind::Rollback, server_id);
         if let Some(ckpt) = self.ring.pop_latest() {
             self.server.model_mut().load_state_dict(&ckpt.server_state);
             for (client, state) in self.clients.iter_mut().zip(&ckpt.client_states) {
@@ -1402,9 +1327,7 @@ impl AsyncSplitTrainer {
         let Some(attack) = self.fault_plan.attack(id, t) else {
             return;
         };
-        self.attacks_injected += 1;
-        self.trace_event(t, TraceKind::AttackInjected, id);
-        self.journal_event(t, JournalKind::AttackInjected, id);
+        self.emit(t, TraceKind::AttackInjected, id);
         match attack {
             AttackSpec::SignFlip { gain } => {
                 let g = -(gain as f32);
@@ -1468,8 +1391,7 @@ impl AsyncSplitTrainer {
                 // exact event streams.
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.corrupted_payloads += 1;
-                    self.trace_event(at, TraceKind::PayloadCorrupted, id);
+                    self.emit(at, TraceKind::PayloadCorrupted, id);
                     self.garble_uplink(msg, failures)
                 } else {
                     Event::Arrival(msg)
@@ -1483,12 +1405,9 @@ impl AsyncSplitTrainer {
                 self.events.schedule(at + dur, deliver);
             }
             None => {
-                self.network_drops += 1;
-                self.trace_event(at, TraceKind::NetworkDrop, id);
-                self.journal_event(at, JournalKind::NetworkDrop, id);
+                self.emit(at, TraceKind::NetworkDrop, id);
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.trace_event(at, TraceKind::BreakerTrip, id);
-                    self.journal_event(at, JournalKind::BreakerTrip, id);
+                    self.emit(at, TraceKind::BreakerTrip, id);
                 }
                 let failures = failures + 1;
                 if self.retry.may_retry(failures) {
@@ -1581,8 +1500,7 @@ impl AsyncSplitTrainer {
             Some(dur) => {
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.corrupted_payloads += 1;
-                    self.trace_event(at, TraceKind::PayloadCorrupted, id);
+                    self.emit(at, TraceKind::PayloadCorrupted, id);
                     self.garble_downlink(msg, failures)
                 } else {
                     Event::GradArrival(msg)
@@ -1596,12 +1514,9 @@ impl AsyncSplitTrainer {
                 self.events.schedule(at + dur, deliver);
             }
             None => {
-                self.network_drops += 1;
-                self.trace_event(at, TraceKind::NetworkDrop, id);
-                self.journal_event(at, JournalKind::NetworkDrop, id);
+                self.emit(at, TraceKind::NetworkDrop, id);
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.trace_event(at, TraceKind::BreakerTrip, id);
-                    self.journal_event(at, JournalKind::BreakerTrip, id);
+                    self.emit(at, TraceKind::BreakerTrip, id);
                 }
                 let failures = failures + 1;
                 if self.retry.may_retry(failures) {
@@ -1618,10 +1533,7 @@ impl AsyncSplitTrainer {
     /// The retry budget for one of `id`'s messages is exhausted: count the
     /// batch as lost and schedule its abandonment.
     fn give_up(&mut self, id: EndSystemId, at: SimTime) {
-        self.retry_exhausted += 1;
-        self.batches_lost_per_client[id.0] += 1;
-        self.trace_event(at, TraceKind::RetryExhausted, id);
-        self.events.schedule(at, Event::BatchAbandon(id));
+        self.lose_batch(at, TraceKind::RetryExhausted, id);
     }
 
     /// If the server is idle (and not stalled by a fault) at `t`, pops the
@@ -1642,16 +1554,12 @@ impl AsyncSplitTrainer {
         }
         let (job, discarded) = self.queue.pop_observed(t, self.telemetry.as_mut());
         for msg in discarded {
-            self.trace_event(t, TraceKind::SchedulerDrop, msg.from);
-            self.journal_event(t, JournalKind::SchedulerDrop, msg.from);
-            self.batches_lost_per_client[msg.from.0] += 1;
             // The client is still awaiting a gradient for this batch.
-            self.events.schedule(t, Event::BatchAbandon(msg.from));
+            self.lose_batch(t, TraceKind::SchedulerDrop, msg.from);
         }
         let Some(job) = job else { return };
         let id = job.msg.from;
-        self.trace_event(t, TraceKind::ServiceStart, id);
-        self.journal_event(t, JournalKind::ServiceStart, id);
+        self.emit(t, TraceKind::ServiceStart, id);
         let service_us = self.compute.server_batch.as_micros();
         let out = match self.server.process_observed(
             &job.msg,
@@ -1665,18 +1573,11 @@ impl AsyncSplitTrainer {
                 // rejected the update before it touched the model.
                 // Validation is cheap, so the server stays free for the
                 // next queued job.
-                self.anomalies_rejected += 1;
-                self.trace_event(t, TraceKind::AnomalyRejected, id);
-                self.journal_event(t, JournalKind::AnomalyRejected, id);
-                self.batches_lost_per_client[id.0] += 1;
-                if self
-                    .quarantine
-                    .record_anomaly_observed(id.0, t, self.telemetry.as_mut())
-                {
-                    self.trace_event(t, TraceKind::Quarantine, id);
+                self.lose_batch(t, TraceKind::AnomalyRejected, id);
+                if self.quarantine.record_anomaly(id.0, t) {
+                    self.emit(t, TraceKind::Quarantine, id);
                     self.resize_robust_window(t);
                 }
-                self.events.schedule(t, Event::BatchAbandon(id));
                 self.try_serve(t);
                 return;
             }
@@ -1708,11 +1609,9 @@ impl AsyncSplitTrainer {
             }
         }
         if let Some(apply) = self.server.take_robust_apply() {
-            self.robust_applies += 1;
             self.updates_trimmed += apply.trimmed as u64;
             let server_id = self.server_trace_id();
-            self.trace_event(t, TraceKind::RobustApply, server_id);
-            self.journal_event(t, JournalKind::RobustApply, server_id);
+            self.emit(t, TraceKind::RobustApply, server_id);
             if let Some(hub) = &mut self.telemetry {
                 hub.record(
                     MetricId::TrimFraction,
@@ -1728,25 +1627,55 @@ impl AsyncSplitTrainer {
                 }
             }
             for sender in apply.outliers {
-                self.robust_outliers += 1;
                 let sid = EndSystemId(sender);
-                self.trace_event(t, TraceKind::RobustOutlier, sid);
-                self.journal_event(t, JournalKind::RobustOutlier, sid);
+                self.emit(t, TraceKind::RobustOutlier, sid);
                 // Statistical outliers accrue quarantine anomaly score
                 // exactly like NaN/RMS ingress rejections: the guard
                 // becomes attack-aware, not just corruption-aware.
-                if self.guard.is_some()
-                    && self
-                        .quarantine
-                        .record_anomaly_observed(sender, t, self.telemetry.as_mut())
-                {
-                    self.trace_event(t, TraceKind::Quarantine, sid);
+                if self.guard.is_some() && self.quarantine.record_anomaly(sender, t) {
+                    self.emit(t, TraceKind::Quarantine, sid);
                     self.resize_robust_window(t);
                 }
             }
         }
         self.send_downlink(out.gradient, 0, done);
     }
+}
+
+/// The journal counterpart of a trace kind, if it is journaled at all.
+fn journal_kind(kind: TraceKind) -> Option<JournalKind> {
+    Some(match kind {
+        TraceKind::Arrival => JournalKind::Arrival,
+        TraceKind::ServiceStart => JournalKind::ServiceStart,
+        TraceKind::GradientDelivered => JournalKind::GradientDelivered,
+        TraceKind::SchedulerDrop => JournalKind::SchedulerDrop,
+        TraceKind::NetworkDrop => JournalKind::NetworkDrop,
+        TraceKind::Retransmit => JournalKind::Retransmit,
+        TraceKind::ClientCrash => JournalKind::ClientCrash,
+        TraceKind::ClientRecover => JournalKind::ClientRecover,
+        TraceKind::CheckpointSave => JournalKind::CheckpointSave,
+        TraceKind::CheckpointRestore => JournalKind::CheckpointRestore,
+        TraceKind::AnomalyRejected => JournalKind::AnomalyRejected,
+        TraceKind::Quarantine => JournalKind::Quarantine,
+        TraceKind::QuarantineRelease => JournalKind::QuarantineRelease,
+        TraceKind::QuarantineDrop => JournalKind::QuarantineDrop,
+        TraceKind::Rollback => JournalKind::Rollback,
+        TraceKind::SnapshotEmit => JournalKind::SnapshotEmit,
+        TraceKind::ClientJoin => JournalKind::ClientJoin,
+        TraceKind::ClientLeave => JournalKind::ClientLeave,
+        TraceKind::ClientRejoin => JournalKind::ClientRejoin,
+        TraceKind::IngressShed => JournalKind::IngressShed,
+        TraceKind::BreakerTrip => JournalKind::BreakerTrip,
+        TraceKind::DeadlinePartialApply => JournalKind::DeadlinePartial,
+        TraceKind::AttackInjected => JournalKind::AttackInjected,
+        TraceKind::RobustApply => JournalKind::RobustApply,
+        TraceKind::RobustOutlier => JournalKind::RobustOutlier,
+        TraceKind::RetryExhausted
+        | TraceKind::PayloadCorrupted
+        | TraceKind::CorruptRejected
+        | TraceKind::JournalDrop
+        | TraceKind::CohortStep => return None,
+    })
 }
 
 #[cfg(test)]
@@ -2410,5 +2339,72 @@ mod tests {
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.final_accuracy, b.final_accuracy);
         assert_eq!(a.downtime_ms_per_client, b.downtime_ms_per_client);
+    }
+
+    /// A 2-client guarded trainer whose client 0 sends norm-exploding
+    /// activations, journaling into a `journal_capacity`-slot ring.
+    fn poisoned_guarded(journal_capacity: usize) -> AsyncSplitTrainer {
+        let cfg = SplitConfig::tiny(CutPoint(1), 2)
+            .epochs(4)
+            .batch_size(8)
+            .seed(4);
+        let top = StarTopology::uniform(2, Link::wan(5.0, 100.0));
+        let mut t = AsyncSplitTrainer::new(
+            cfg,
+            &data(48),
+            top,
+            SchedulingPolicy::Fifo,
+            ComputeModel::default(),
+        )
+        .unwrap()
+        .with_integrity_guard(GuardConfig {
+            probation: SimDuration::from_millis(40),
+            ..GuardConfig::default()
+        })
+        .with_telemetry(SimDuration::from_millis(100), journal_capacity);
+        let poisoned: Vec<Tensor> = t.clients_mut()[0]
+            .model_mut()
+            .state_dict()
+            .into_iter()
+            .map(|mut p| {
+                p.map_inplace(|_| 1e20);
+                p
+            })
+            .collect();
+        t.clients_mut()[0].model_mut().load_state_dict(&poisoned);
+        t.enable_trace();
+        t
+    }
+
+    #[test]
+    fn quarantine_transitions_are_journaled() {
+        let mut t = poisoned_guarded(4096);
+        let r = t.run(&data(20));
+        assert!(r.quarantines > 0, "{r:?}");
+        assert!(r.quarantine_drops > 0, "{r:?}");
+        assert!(r.quarantine_releases > 0, "{r:?}");
+        assert_eq!(r.journal_dropped, 0);
+        let journal = t.telemetry().unwrap().journal_log();
+        let count = |k| journal.count(k) as u64;
+        assert_eq!(count(JournalKind::Quarantine), r.quarantines);
+        assert_eq!(count(JournalKind::QuarantineDrop), r.quarantine_drops);
+        assert_eq!(count(JournalKind::QuarantineRelease), r.quarantine_releases);
+    }
+
+    #[test]
+    fn quarantine_journal_evictions_are_traced() {
+        // With a 1-slot ring every journaled event after the first evicts
+        // one, the quarantine kinds included.
+        let mut t = poisoned_guarded(1);
+        let r = t.run(&data(20));
+        assert!(r.quarantine_drops > 0, "{r:?}");
+        assert_eq!(
+            t.telemetry().unwrap().journal_log().evicted(),
+            r.journal_dropped
+        );
+        assert_eq!(
+            t.trace().unwrap().count(TraceKind::JournalDrop) as u64,
+            r.journal_dropped
+        );
     }
 }

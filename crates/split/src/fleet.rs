@@ -36,7 +36,7 @@ use crate::scheduler::{ArrivalJob, ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use stsl_data::{ImageDataset, Partition};
 use stsl_nn::optim::Sgd;
-use stsl_simnet::{EndSystemId, EventQueue, SimDuration, SimTime, TraceKind, TraceLog};
+use stsl_simnet::{EndSystemId, EventQueue, SimDuration, SimTime, TraceKind, TraceLog, TraceTally};
 use stsl_telemetry::{MetricId, TelemetryHub};
 use stsl_tensor::init::derive_seed;
 
@@ -243,6 +243,9 @@ pub struct FleetTrainer {
     events: EventQueue<FleetEvent>,
     telemetry: TelemetryHub,
     trace: TraceLog,
+    /// Count of every emitted [`TraceKind`], kept past the trace's
+    /// capacity; the report's event counters read it.
+    tally: TraceTally,
     /// Pending non-snapshot events — the tick-liveness counter that
     /// stops the periodic snapshot from keeping a drained simulation
     /// alive forever.
@@ -252,7 +255,6 @@ pub struct FleetTrainer {
     sends_attempted: u64,
     admission_rejected: u64,
     served: u64,
-    cohort_steps: u64,
     departures: u64,
     snapshots_emitted: u64,
 }
@@ -329,13 +331,13 @@ impl FleetTrainer {
             events: EventQueue::new(),
             telemetry: TelemetryHub::new(256),
             trace: TraceLog::with_capacity_limit(65_536),
+            tally: TraceTally::default(),
             pending_work: 0,
             server_busy: false,
             events_processed: 0,
             sends_attempted: 0,
             admission_rejected: 0,
             served: 0,
-            cohort_steps: 0,
             departures: 0,
             snapshots_emitted: 0,
             config,
@@ -528,12 +530,16 @@ impl FleetTrainer {
             if self.replicas[c].apply_gradient(&out.gradient).is_err() {
                 self.replicas[c].abandon_outstanding();
             }
-            self.cohort_steps += 1;
-            self.trace
-                .record(now, TraceKind::CohortStep, EndSystemId(c));
+            self.emit(now, TraceKind::CohortStep, EndSystemId(c));
         } else {
             self.replicas[c].abandon_outstanding();
         }
+    }
+
+    /// Records `kind` in the bounded trace and counts it in the tally.
+    fn emit(&mut self, at: SimTime, kind: TraceKind, id: EndSystemId) {
+        self.trace.record(at, kind, id);
+        self.tally.bump(kind);
     }
 
     fn on_depart(&mut self, i: u32) {
@@ -591,7 +597,7 @@ impl FleetTrainer {
             admission_rejected: self.admission_rejected,
             shed: self.queue.shed(),
             served: self.served,
-            cohort_steps: self.cohort_steps,
+            cohort_steps: self.tally.count(TraceKind::CohortStep),
             mean_queue_depth: self.queue.mean_depth(),
             max_queue_depth: self.queue.max_depth(),
             mean_staleness_ms: self.queue.mean_wait().as_micros() as f64 / 1e3,

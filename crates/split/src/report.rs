@@ -81,6 +81,13 @@ impl TrainReport {
 }
 
 /// Result of an asynchronous (network-simulated) training run.
+///
+/// The event counters (every `u64` count of one `TraceKind`, such as
+/// `network_drops` or `checkpoint_saves`) cover the run that produced
+/// this report. `served_per_client` and the other queue statistics,
+/// `batches_lost*`, `downtime_ms_per_client` and `comm` cover the
+/// trainer's lifetime: a second run of the same trainer reports them
+/// summed over both runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AsyncReport {
     /// Scheduling policy label.

@@ -83,7 +83,6 @@ pub struct ArrivalQueue<J: ArrivalJob = ActivationMsg> {
     policy: SchedulingPolicy,
     pending: VecDeque<QueuedJob<J>>,
     served_per_client: Vec<u64>,
-    dropped: u64,
     /// Bounded-ingress capacity; `None` means unbounded (the legacy
     /// behavior).
     capacity: Option<usize>,
@@ -111,7 +110,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
             policy,
             pending: VecDeque::new(),
             served_per_client: vec![0; end_systems],
-            dropped: 0,
             capacity: None,
             shed: 0,
             depth_samples: Vec::new(),
@@ -155,11 +153,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Batches discarded by the staleness policy so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Records one post-insert depth observation: exact running
@@ -250,7 +243,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
             while let Some(front) = self.pending.front() {
                 if now.since(front.arrived_at) > max_age {
                     let job = self.pending.pop_front().expect("front exists");
-                    self.dropped += 1;
                     discarded.push(job.msg);
                 } else {
                     break;
@@ -490,7 +482,6 @@ mod tests {
         assert_eq!(discarded.len(), 1);
         assert_eq!(discarded[0].from, EndSystemId(0));
         assert_eq!(job.unwrap().msg.from, EndSystemId(1));
-        assert_eq!(q.dropped(), 1);
     }
 
     #[test]
@@ -757,7 +748,6 @@ mod tests {
                     served += 1;
                 }
                 prop_assert_eq!(served + discarded_total, total);
-                prop_assert_eq!(q.dropped(), discarded_total as u64);
             }
         }
     }
