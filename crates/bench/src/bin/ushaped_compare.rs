@@ -2,7 +2,7 @@
 //! learning.
 //!
 //! The paper's protocol sends labels with the activations; the U-shaped
-//! variant (its ref. [3]) keeps the loss and the final layer at the
+//! variant (its ref. \[3\]) keeps the loss and the final layer at the
 //! end-system so labels never leave. This experiment compares the two on
 //! the same data: accuracy, communication bytes and messages per epoch.
 //!

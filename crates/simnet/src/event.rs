@@ -50,8 +50,9 @@ const CTX_QUEUE_CALENDAR: u64 = 2 << 2;
 const CTX_QUEUE_MASK: u64 = 0b11 << 2;
 
 impl QueueKind {
-    /// The backing store a new [`EventQueue`] adopts on this thread,
-    /// resolved as documented at the [module level](self).
+    /// The backing store a new [`EventQueue`] adopts on this thread: a
+    /// [`with_queue_kind`] scope override, else `STSL_QUEUE`, else
+    /// [`QueueKind::Calendar`].
     pub fn active() -> QueueKind {
         match stsl_parallel::scope_context() & CTX_QUEUE_MASK {
             CTX_QUEUE_REFERENCE => QueueKind::Reference,

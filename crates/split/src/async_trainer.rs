@@ -51,7 +51,6 @@ use crate::resilience::{
 use crate::scheduler::{ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use crate::trainer::ConfigError;
-use bytes::Bytes;
 use rand::Rng;
 use stsl_data::{ImageDataset, Partition};
 use stsl_simnet::{
@@ -87,26 +86,97 @@ impl Default for ComputeModel {
     }
 }
 
+/// One message on an end-system's WAN link: smashed activations up to
+/// the server, or the cut-layer gradient back down. Both directions share
+/// one send, retry and garble path; the frame supplies what differs.
+#[derive(Debug)]
+enum Frame {
+    Up(ActivationMsg),
+    Down(GradientMsg),
+}
+
+impl Frame {
+    /// The end-system at the far end of the link.
+    fn peer(&self) -> EndSystemId {
+        match self {
+            Frame::Up(m) => m.from,
+            Frame::Down(m) => m.to,
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            Frame::Up(m) => m.encoded_len(),
+            Frame::Down(m) => m.encoded_len(),
+        }
+    }
+
+    fn encode(&self) -> Box<[u8]> {
+        match self {
+            Frame::Up(m) => m.encode(),
+            Frame::Down(m) => m.encode(),
+        }
+    }
+
+    /// The `(bytes, messages)` send counters of the frame's direction.
+    fn comm<'c>(&self, comm: &'c mut CommReport) -> (&'c mut u64, &'c mut u64) {
+        match self {
+            Frame::Up(_) => (&mut comm.uplink_bytes, &mut comm.uplink_messages),
+            Frame::Down(_) => (&mut comm.downlink_bytes, &mut comm.downlink_messages),
+        }
+    }
+
+    fn latency_metric(&self) -> MetricId {
+        match self {
+            Frame::Up(_) => MetricId::UplinkLatency,
+            Frame::Down(_) => MetricId::DownlinkLatency,
+        }
+    }
+
+    /// Decodes `wire`, a garbled copy of this frame, at the receiving
+    /// edge. A guarded receiver verifies the CRC, which catches the damage
+    /// barring an astronomically unlikely collision. The unguarded
+    /// receiver accepts any frame that still parses with the right
+    /// sender, batch, shapes and label range (`classes`), since it cannot
+    /// tell such a frame apart from a healthy one: silent poison. `None`
+    /// means the receiver rejected the frame.
+    fn receive(&self, wire: &[u8], guarded: bool, classes: usize) -> Option<Frame> {
+        match self {
+            Frame::Up(_) if guarded => ActivationMsg::decode(wire).ok().map(Frame::Up),
+            Frame::Down(_) if guarded => GradientMsg::decode(wire).ok().map(Frame::Down),
+            Frame::Up(sent) => {
+                let (m, _crc_ok) = ActivationMsg::decode_lenient(wire).ok()?;
+                (m.from == sent.from
+                    && m.batch_id == sent.batch_id
+                    && m.activations.dims() == sent.activations.dims()
+                    && m.targets.len() == sent.targets.len()
+                    && m.targets.iter().all(|&c| c < classes))
+                .then_some(Frame::Up(m))
+            }
+            Frame::Down(sent) => {
+                let (m, _crc_ok) = GradientMsg::decode_lenient(wire).ok()?;
+                (m.to == sent.to
+                    && m.batch_id == sent.batch_id
+                    && m.grad.dims() == sent.grad.dims())
+                .then_some(Frame::Down(m))
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 enum Event {
-    /// Activations reached the server.
-    Arrival(ActivationMsg),
-    /// A gradient reached its end-system.
-    GradArrival(GradientMsg),
+    /// A frame reached its receiver.
+    Deliver(Frame),
     /// The server finished a batch (or a stall ended) and can pick the
     /// next queued one.
     ServerFree,
-    /// A lost activation message is retransmitted. `failures` counts the
-    /// send attempts that have already failed.
-    UplinkRetry { msg: ActivationMsg, failures: u32 },
-    /// A lost gradient message is retransmitted.
-    DownlinkRetry { msg: GradientMsg, failures: u32 },
-    /// An activation frame arrived garbled and was detected at the server
-    /// edge; `msg` is the original for retransmission.
-    CorruptUplink { msg: ActivationMsg, failures: u32 },
-    /// A gradient frame arrived garbled and was detected at the client
-    /// edge.
-    CorruptDownlink { msg: GradientMsg, failures: u32 },
+    /// A lost frame is retransmitted. `failures` counts the send attempts
+    /// that have already failed.
+    Retry { frame: Frame, failures: u32 },
+    /// A frame arrived garbled and was detected at the receiving edge;
+    /// `frame` is the original for retransmission.
+    Corrupt { frame: Frame, failures: u32 },
     /// A client's outstanding batch is lost for good; abandon it and move
     /// on to the next one.
     BatchAbandon(EndSystemId),
@@ -127,13 +197,10 @@ enum Event {
     /// Per-round deadline: check round progress and, with enough quorum,
     /// abandon the stragglers' outstanding batches.
     RoundDeadline,
-    /// A breaker-deferred activation send is re-attempted when its link
-    /// half-opens. Unlike [`Event::UplinkRetry`] nothing was lost, so it
-    /// is not counted as a retransmission.
-    UplinkProbe { msg: ActivationMsg, failures: u32 },
-    /// A breaker-deferred gradient send, downlink counterpart of
-    /// [`Event::UplinkProbe`].
-    DownlinkProbe { msg: GradientMsg, failures: u32 },
+    /// A breaker-deferred send is re-attempted when its link half-opens.
+    /// Unlike [`Event::Retry`] nothing was lost, so it is not counted as a
+    /// retransmission.
+    Probe { frame: Frame, failures: u32 },
 }
 
 /// Asynchronous trainer over a simulated network.
@@ -741,7 +808,7 @@ impl AsyncSplitTrainer {
             match first {
                 Some(mut msg) => {
                     self.apply_attack(&mut msg, SimTime::ZERO);
-                    self.send_uplink(msg, 0, SimTime::ZERO + self.compute.client_batch)
+                    self.send(Frame::Up(msg), 0, SimTime::ZERO + self.compute.client_batch)
                 }
                 // Degenerate cases (pre-crashed client, empty shard) take
                 // the ordinary path so epoch bookkeeping stays in one
@@ -769,7 +836,7 @@ impl AsyncSplitTrainer {
                 }
             }
             match event {
-                Event::Arrival(msg) => {
+                Event::Deliver(Frame::Up(msg)) => {
                     let id = msg.from;
                     if self.crashed[id.0] {
                         // The sender crashed while the message was in
@@ -827,7 +894,7 @@ impl AsyncSplitTrainer {
                 Event::ServerFree => {
                     self.try_serve(t);
                 }
-                Event::GradArrival(grad) => {
+                Event::Deliver(Frame::Down(grad)) => {
                     let id = grad.to;
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue; // delivered into the void
@@ -842,65 +909,28 @@ impl AsyncSplitTrainer {
                         self.launch_next_batch(id, t + self.compute.client_batch);
                     }
                 }
-                Event::UplinkRetry { msg, failures } => {
-                    let id = msg.from;
+                Event::Retry { frame, failures } => {
+                    let id = frame.peer();
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
                     self.emit(t, TraceKind::Retransmit, id);
-                    self.send_uplink(msg, failures, t);
+                    self.send(frame, failures, t);
                 }
-                Event::DownlinkRetry { msg, failures } => {
-                    let id = msg.to;
+                Event::Probe { frame, failures } => {
+                    let id = frame.peer();
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.emit(t, TraceKind::Retransmit, id);
-                    self.send_downlink(msg, failures, t);
+                    self.send(frame, failures, t);
                 }
-                Event::UplinkProbe { msg, failures } => {
-                    let id = msg.from;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.send_uplink(msg, failures, t);
-                }
-                Event::DownlinkProbe { msg, failures } => {
-                    let id = msg.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.send_downlink(msg, failures, t);
-                }
-                Event::CorruptUplink { msg, failures } => {
-                    let id = msg.from;
+                Event::Corrupt { frame, failures } => {
+                    let id = frame.peer();
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
                     self.emit(t, TraceKind::CorruptRejected, id);
-                    let failures = failures + 1;
-                    if self.retry.may_retry(failures) {
-                        let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                        self.events
-                            .schedule(t + delay, Event::UplinkRetry { msg, failures });
-                    } else {
-                        self.give_up(id, t);
-                    }
-                }
-                Event::CorruptDownlink { msg, failures } => {
-                    let id = msg.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.emit(t, TraceKind::CorruptRejected, id);
-                    let failures = failures + 1;
-                    if self.retry.may_retry(failures) {
-                        let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                        self.events
-                            .schedule(t + delay, Event::DownlinkRetry { msg, failures });
-                    } else {
-                        self.give_up(id, t);
-                    }
+                    self.retry_or_give_up(frame, failures, t);
                 }
                 Event::BatchAbandon(id) => {
                     if self.crashed[id.0] || !self.is_member(id.0) {
@@ -1312,7 +1342,7 @@ impl AsyncSplitTrainer {
             return;
         };
         self.apply_attack(&mut msg, t);
-        self.send_uplink(msg, 0, t + self.compute.client_batch);
+        self.send(Frame::Up(msg), 0, t + self.compute.client_batch);
     }
 
     /// Applies the sender's active adversarial persona (if any) to a
@@ -1363,44 +1393,46 @@ impl AsyncSplitTrainer {
         }
     }
 
-    /// Attempts one uplink transmission of `msg` at `at` (`failures` prior
+    /// Attempts one transmission of `frame` at `at` (`failures` prior
     /// attempts have been lost). On loss, schedules a backed-off
     /// retransmission — or abandons the batch once the budget is spent.
-    fn send_uplink(&mut self, msg: ActivationMsg, failures: u32, at: SimTime) {
-        let id = msg.from;
+    fn send(&mut self, frame: Frame, failures: u32, at: SimTime) {
+        let id = frame.peer();
         if self.overload.is_some() {
             // A tripped breaker defers the send until its link half-opens
             // — before any comm accounting, since nothing hits the wire.
             if let BreakerDecision::Defer(until) = self.breaker.allow(id, at) {
                 self.events
-                    .schedule(until, Event::UplinkProbe { msg, failures });
+                    .schedule(until, Event::Probe { frame, failures });
                 return;
             }
         }
-        let bytes = msg.encoded_len();
-        self.comm.uplink_bytes += bytes as u64;
-        self.comm.uplink_messages += 1;
+        let bytes = frame.encoded_len();
+        let (sent_bytes, sent_messages) = frame.comm(&mut self.comm);
+        *sent_bytes += bytes as u64;
+        *sent_messages += 1;
         let link = *self.topology.link(id);
         match self
             .fault_plan
             .transfer_through(&link, id, bytes, at, &mut self.link_rngs[id.0])
         {
             Some(dur) => {
+                let latency = frame.latency_metric();
                 // The corruption RNG is only consulted while a corruption
                 // episode is active, so corruption-free plans keep their
                 // exact event streams.
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
                     self.emit(at, TraceKind::PayloadCorrupted, id);
-                    self.garble_uplink(msg, failures)
+                    self.garble(frame, failures)
                 } else {
-                    Event::Arrival(msg)
+                    Event::Deliver(frame)
                 };
                 if self.overload.is_some() {
                     self.breaker.record_success(id);
                 }
                 if let Some(hub) = &mut self.telemetry {
-                    hub.record(MetricId::UplinkLatency, id.0 as u64, dur.as_micros());
+                    hub.record(latency, id.0 as u64, dur.as_micros());
                 }
                 self.events.schedule(at + dur, deliver);
             }
@@ -1409,131 +1441,36 @@ impl AsyncSplitTrainer {
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
                     self.emit(at, TraceKind::BreakerTrip, id);
                 }
-                let failures = failures + 1;
-                if self.retry.may_retry(failures) {
-                    let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                    self.events
-                        .schedule(at + delay, Event::UplinkRetry { msg, failures });
-                } else {
-                    self.give_up(id, at);
-                }
+                self.retry_or_give_up(frame, failures, at);
             }
         }
     }
 
-    /// Runs `msg` through the wire: encode, garble the bytes, re-decode at
-    /// the receiving edge. With the guard on, the CRC catches the damage
-    /// (barring an astronomically unlikely collision) and the frame is
-    /// rejected for retransmission. With the guard off, a frame that still
-    /// parses structurally — right sender, batch, shapes and label range,
-    /// so the legacy receiver cannot tell it apart from a healthy one — is
-    /// delivered garbled: silent poison.
-    fn garble_uplink(&mut self, msg: ActivationMsg, failures: u32) -> Event {
-        let mut bytes = msg.encode().as_ref().to_vec();
-        corrupt_payload(&mut bytes, &mut self.link_rngs[msg.from.0]);
-        let wire = Bytes::from(bytes);
-        if self.guard.is_some() {
-            match ActivationMsg::decode(wire) {
-                Ok(m) => Event::Arrival(m),
-                Err(_) => Event::CorruptUplink { msg, failures },
-            }
+    /// One more send of `frame` failed at `at`: schedules a backed-off
+    /// retransmission, or counts the batch as lost once the retry budget
+    /// is spent.
+    fn retry_or_give_up(&mut self, frame: Frame, failures: u32, at: SimTime) {
+        let failures = failures + 1;
+        if self.retry.may_retry(failures) {
+            let delay = self.retry.backoff(failures, &mut self.retry_rng);
+            self.events
+                .schedule(at + delay, Event::Retry { frame, failures });
         } else {
-            match ActivationMsg::decode_lenient(wire) {
-                Ok((m, _crc_ok))
-                    if m.from == msg.from
-                        && m.batch_id == msg.batch_id
-                        && m.activations.dims() == msg.activations.dims()
-                        && m.targets.len() == msg.targets.len()
-                        && m.targets.iter().all(|&c| c < self.config.arch.classes) =>
-                {
-                    Event::Arrival(m)
-                }
-                _ => Event::CorruptUplink { msg, failures },
-            }
+            self.lose_batch(at, TraceKind::RetryExhausted, frame.peer());
         }
     }
 
-    /// Downlink counterpart of [`AsyncSplitTrainer::garble_uplink`].
-    fn garble_downlink(&mut self, msg: GradientMsg, failures: u32) -> Event {
-        let mut bytes = msg.encode().as_ref().to_vec();
-        corrupt_payload(&mut bytes, &mut self.link_rngs[msg.to.0]);
-        let wire = Bytes::from(bytes);
-        if self.guard.is_some() {
-            match GradientMsg::decode(wire) {
-                Ok(m) => Event::GradArrival(m),
-                Err(_) => Event::CorruptDownlink { msg, failures },
-            }
-        } else {
-            match GradientMsg::decode_lenient(wire) {
-                Ok((m, _crc_ok))
-                    if m.to == msg.to
-                        && m.batch_id == msg.batch_id
-                        && m.grad.dims() == msg.grad.dims() =>
-                {
-                    Event::GradArrival(m)
-                }
-                _ => Event::CorruptDownlink { msg, failures },
-            }
+    /// Runs `frame` through the wire: encode, garble the bytes with the
+    /// link's RNG, and decode at the receiving edge (see
+    /// [`Frame::receive`]). A rejected frame comes back as
+    /// [`Event::Corrupt`] for retransmission.
+    fn garble(&mut self, frame: Frame, failures: u32) -> Event {
+        let mut wire = frame.encode().into_vec();
+        corrupt_payload(&mut wire, &mut self.link_rngs[frame.peer().0]);
+        match frame.receive(&wire, self.guard.is_some(), self.config.arch.classes) {
+            Some(garbled) => Event::Deliver(garbled),
+            None => Event::Corrupt { frame, failures },
         }
-    }
-
-    /// Attempts one downlink transmission of `msg` at `at`, with the same
-    /// retransmission discipline as [`AsyncSplitTrainer::send_uplink`].
-    fn send_downlink(&mut self, msg: GradientMsg, failures: u32, at: SimTime) {
-        let id = msg.to;
-        if self.overload.is_some() {
-            // Same deferral discipline as the uplink path.
-            if let BreakerDecision::Defer(until) = self.breaker.allow(id, at) {
-                self.events
-                    .schedule(until, Event::DownlinkProbe { msg, failures });
-                return;
-            }
-        }
-        let bytes = msg.encoded_len();
-        self.comm.downlink_bytes += bytes as u64;
-        self.comm.downlink_messages += 1;
-        let link = *self.topology.link(id);
-        match self
-            .fault_plan
-            .transfer_through(&link, id, bytes, at, &mut self.link_rngs[id.0])
-        {
-            Some(dur) => {
-                let rate = self.fault_plan.corruption_rate(id, at);
-                let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.emit(at, TraceKind::PayloadCorrupted, id);
-                    self.garble_downlink(msg, failures)
-                } else {
-                    Event::GradArrival(msg)
-                };
-                if self.overload.is_some() {
-                    self.breaker.record_success(id);
-                }
-                if let Some(hub) = &mut self.telemetry {
-                    hub.record(MetricId::DownlinkLatency, id.0 as u64, dur.as_micros());
-                }
-                self.events.schedule(at + dur, deliver);
-            }
-            None => {
-                self.emit(at, TraceKind::NetworkDrop, id);
-                if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.emit(at, TraceKind::BreakerTrip, id);
-                }
-                let failures = failures + 1;
-                if self.retry.may_retry(failures) {
-                    let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                    self.events
-                        .schedule(at + delay, Event::DownlinkRetry { msg, failures });
-                } else {
-                    self.give_up(id, at);
-                }
-            }
-        }
-    }
-
-    /// The retry budget for one of `id`'s messages is exhausted: count the
-    /// batch as lost and schedule its abandonment.
-    fn give_up(&mut self, id: EndSystemId, at: SimTime) {
-        self.lose_batch(at, TraceKind::RetryExhausted, id);
     }
 
     /// If the server is idle (and not stalled by a fault) at `t`, pops the
@@ -1638,7 +1575,7 @@ impl AsyncSplitTrainer {
                 }
             }
         }
-        self.send_downlink(out.gradient, 0, done);
+        self.send(Frame::Down(out.gradient), 0, done);
     }
 }
 

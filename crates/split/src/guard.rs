@@ -159,9 +159,9 @@ impl QuarantineTracker {
     /// Admission check at update-arrival time; handles the probationary
     /// release transition.
     ///
-    /// An `id` the tracker has never heard of (possible when the guard-off
-    /// `decode_unchecked` path lets a garbled sender field through) is
-    /// never admitted: it is dropped rather than a panic.
+    /// An `id` the tracker has never heard of (a garbled sender field
+    /// that the CRC-lenient `decode_lenient` parses, say) is never
+    /// admitted: it is dropped rather than a panic.
     pub fn admit(&mut self, id: usize, at: SimTime) -> QuarantineStatus {
         let Some(until) = self.until.get_mut(id) else {
             return QuarantineStatus::Dropped;
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn unknown_sender_id_is_dropped_not_a_panic() {
-        // A garbled `from` field surviving decode_unchecked must never be
+        // A garbled `from` field surviving decode_lenient must never be
         // able to crash the server's quarantine bookkeeping.
         let mut q = QuarantineTracker::new(2, &GuardConfig::default());
         assert_eq!(q.admit(7, t(0)), QuarantineStatus::Dropped);

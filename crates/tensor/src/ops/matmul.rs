@@ -7,7 +7,7 @@
 //!   ascending-`kk` order directly into `C`, so it defines the exact
 //!   summation order the conformance suite treats as the oracle.
 //! * **Blocked** — packed cache-blocked microkernels (see
-//!   [`super::blocked`]) that accumulate `KC`-deep panel sums in
+//!   `super::blocked`) that accumulate `KC`-deep panel sums in
 //!   registers; ULP-bounded against the reference, much faster.
 //!
 //! Both paths are row-parallelized with `stsl-parallel` over disjoint

@@ -2,7 +2,7 @@
 //!
 //! The GEMM and softmax/reduction families dispatch per call on
 //! [`crate::Backend`]: a scalar reference path (the numeric oracle) and
-//! the cache-blocked packed path in [`blocked`].
+//! the cache-blocked packed path in `blocked`.
 
 pub(crate) mod blocked;
 pub mod conv;

@@ -3,7 +3,7 @@
 //! The softmax family and the full-tensor sum dispatch on
 //! [`Backend::active`]: the reference path keeps the exact left-fold
 //! summation order, the blocked path uses fixed-order lane partial sums
-//! ([`blocked::sum_lanes`]) and row-parallel softmax. Axis reductions,
+//! (`blocked::sum_lanes`) and row-parallel softmax. Axis reductions,
 //! extrema and argmax are order-insensitive or intentionally shared, so
 //! they are backend-invariant (asserted by `tests/kernel_conformance.rs`).
 

@@ -7,7 +7,8 @@ use spatio_temporal_split_learning::data::{Partition, SyntheticCifar};
 use spatio_temporal_split_learning::nn::Mode;
 use spatio_temporal_split_learning::simnet::EndSystemId;
 use spatio_temporal_split_learning::split::protocol::{
-    ActivationMsg, BatchId, GradientMsg, WIRE_HEADER_BYTES,
+    crc32, ActivationMsg, BatchId, GradientMsg, KIND_ACTIVATION, KIND_GRADIENT, WIRE_HEADER_BYTES,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 use spatio_temporal_split_learning::split::{combine, AggregationPolicy, CnnArch, CutPoint};
 use spatio_temporal_split_learning::tensor::init::rng_from_seed;
@@ -33,6 +34,53 @@ fn random_window(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n)
         .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
         .collect()
+}
+
+/// Wraps `payload` in a frame header with a valid length and CRC, so the
+/// decoders get past the framing checks into the payload parser.
+fn valid_crc_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = WIRE_MAGIC.to_vec();
+    frame.extend_from_slice(&[WIRE_VERSION, kind]);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+proptest! {
+    // The byte-soup test below almost never passes the magic and CRC
+    // checks, so this one builds well-framed payloads around an arbitrary
+    // tensor header: any rank up to one past the wire limit, any `u32`
+    // dims (or small ones, so some frames parse), and a short or empty
+    // tail. Hostile headers are cheap, so it runs many cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_tensor_headers_never_panic(
+        gradient in 0u8..2,
+        dims in prop::collection::vec(0u32..=u32::MAX, 0..10),
+        small in 0u8..2,
+        tail in prop::collection::vec(0u8..=255, 0..64)
+    ) {
+        let mut payload = vec![0u8; 12];
+        payload.push(dims.len() as u8);
+        for d in dims {
+            let d = if small == 1 { d % 4 } else { d };
+            payload.extend_from_slice(&d.to_le_bytes());
+        }
+        payload.extend_from_slice(&tail);
+        if gradient == 1 {
+            let frame = valid_crc_frame(KIND_GRADIENT, &payload);
+            let strict = GradientMsg::decode(&frame);
+            let lenient = GradientMsg::decode_lenient(&frame);
+            prop_assert_eq!(strict.is_ok(), lenient.is_ok());
+        } else {
+            let frame = valid_crc_frame(KIND_ACTIVATION, &payload);
+            let strict = ActivationMsg::decode(&frame);
+            let lenient = ActivationMsg::decode_lenient(&frame);
+            prop_assert_eq!(strict.is_ok(), lenient.is_ok());
+        }
+    }
 }
 
 proptest! {
@@ -90,7 +138,7 @@ proptest! {
         // payload intact, so the checksum (recomputed over the payload)
         // no longer matches the header — still an error. Every other
         // position corrupts payload or framing. Either way: Err.
-        prop_assert!(ActivationMsg::decode(raw.into()).is_err());
+        prop_assert!(ActivationMsg::decode(raw).is_err());
     }
 
     #[test]
@@ -106,7 +154,7 @@ proptest! {
         let mut raw = msg.encode().as_ref().to_vec();
         let idx = ((raw.len() - 1) as f64 * byte_frac) as usize;
         raw[idx] ^= 1 << bit;
-        prop_assert!(GradientMsg::decode(raw.into()).is_err());
+        prop_assert!(GradientMsg::decode(raw).is_err());
     }
 
     /// Truncation at any prefix length — header, mid-tensor, last byte —
@@ -125,8 +173,8 @@ proptest! {
         let raw = msg.encode().as_ref().to_vec();
         let keep = ((raw.len() - 1) as f64 * keep_frac) as usize;
         let cut = raw[..keep].to_vec();
-        prop_assert!(ActivationMsg::decode(cut.clone().into()).is_err());
-        prop_assert!(ActivationMsg::decode_lenient(cut.into()).is_err());
+        prop_assert!(ActivationMsg::decode(cut.clone()).is_err());
+        prop_assert!(ActivationMsg::decode_lenient(cut).is_err());
     }
 
     /// Arbitrary byte soup — with or without a plausible-looking header —
@@ -145,10 +193,10 @@ proptest! {
             let len = (soup.len() - WIRE_HEADER_BYTES) as u32;
             soup[6..10].copy_from_slice(&len.to_le_bytes());
         }
-        let _ = ActivationMsg::decode(soup.clone().into());
-        let _ = ActivationMsg::decode_lenient(soup.clone().into());
-        let _ = GradientMsg::decode(soup.clone().into());
-        let _ = GradientMsg::decode_lenient(soup.into());
+        let _ = ActivationMsg::decode(soup.clone());
+        let _ = ActivationMsg::decode_lenient(soup.clone());
+        let _ = GradientMsg::decode(soup.clone());
+        let _ = GradientMsg::decode_lenient(soup);
     }
 
     #[test]
