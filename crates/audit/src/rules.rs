@@ -125,13 +125,12 @@ pub const R7_SEAM: [&str; 2] = ["crates/tensor/src/ops/", "crates/split/src/aggr
 /// the seeded root `rng_from_seed` and the `derive_seed` splitter.
 pub const R8_RNG_ROOT_FILE: &str = "crates/tensor/src/init.rs";
 
-/// Files sanctioned to read process environment variables (R9): the
-/// documented config/backend-selection sites. Everything else must take
-/// configuration as data.
-pub const R9_ENV_FILES: [&str; 5] = [
-    "crates/parallel/src/lib.rs",
-    "crates/tensor/src/backend.rs",
-    "crates/simnet/src/event.rs",
+/// Files sanctioned to read process environment variables (R9): the one
+/// run-selection module (threads, backend, queue kind), the bench results
+/// directory and the audit binary's own root lookup. Everything else must
+/// take configuration as data.
+pub const R9_ENV_FILES: [&str; 3] = [
+    "crates/parallel/src/run_config.rs",
     "crates/bench/src/lib.rs",
     "crates/audit/src/main.rs",
 ];
@@ -253,8 +252,10 @@ mod tests {
         assert!(in_r8_scope("crates/split/src/async_trainer.rs"));
         assert!(!in_r8_scope("crates/tensor/src/init.rs"));
 
-        assert!(!in_r9_scope("crates/tensor/src/backend.rs"));
-        assert!(!in_r9_scope("crates/simnet/src/event.rs"));
+        assert!(!in_r9_scope("crates/parallel/src/run_config.rs"));
+        assert!(in_r9_scope("crates/parallel/src/lib.rs"));
+        assert!(in_r9_scope("crates/simnet/src/event.rs"));
+        assert!(in_r9_scope("crates/tensor/src/ops/matmul.rs"));
         assert!(in_r9_scope("crates/split/src/server.rs"));
 
         assert!(in_r4_scope("src/lib.rs"));

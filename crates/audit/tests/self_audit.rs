@@ -232,3 +232,25 @@ fn reintroducing_an_env_read_is_caught() {
         report.findings
     );
 }
+
+#[test]
+fn an_env_read_at_a_former_selection_site_is_caught() {
+    // The event queue adopts the active queue kind but must not resolve
+    // it itself: run selection lives in `stsl-parallel`'s run_config.rs.
+    let mut files = workspace_sources();
+    append_to(
+        &mut files,
+        "crates/simnet/src/event.rs",
+        "\npub fn regressed_queue() -> Option<String> {\n    std::env::var(\"STSL_QUEUE\").ok()\n}\n",
+    );
+
+    let report = audit(&files);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == RULE_ENV_READ && f.path.ends_with("simnet/src/event.rs")),
+        "an env read in the event queue must fire env-read:\n{:#?}",
+        report.findings
+    );
+}

@@ -36,7 +36,7 @@ pub const RESULTS_SCHEMA: &str = "stsl-results/v1";
 pub fn write_results<T: Serialize>(name: &str, bin: &str, seed: u64, data: &T) {
     let payload = serde_json::to_string_pretty(data).expect("serialize result");
     let json = envelope(bin, seed, Some(stsl_parallel::max_threads()), &payload);
-    persist(name, &json);
+    persist(&results_dir(), name, &json);
 }
 
 /// Like [`write_results`] but takes the payload as pre-rendered JSON and
@@ -44,7 +44,7 @@ pub fn write_results<T: Serialize>(name: &str, bin: &str, seed: u64, data: &T) {
 /// with the thread count.
 pub fn write_results_deterministic(name: &str, bin: &str, seed: u64, data_json: &str) {
     let json = envelope(bin, seed, None, data_json);
-    persist(name, &json);
+    persist(&results_dir(), name, &json);
 }
 
 /// Renders the envelope around an already-serialized payload. The
@@ -63,9 +63,8 @@ fn envelope(bin: &str, seed: u64, threads: Option<usize>, payload: &str) -> Stri
     )
 }
 
-/// Writes `json` to `results/<name>.json` via a temp file and rename.
-fn persist(name: &str, json: &str) {
-    let dir = results_dir();
+/// Writes `json` to `<dir>/<name>.json` via a temp file and rename.
+fn persist(dir: &Path, name: &str, json: &str) {
     let final_path = dir.join(format!("{}.json", name));
     let tmp_path = dir.join(format!("{}.json.tmp", name));
     write_atomic(&tmp_path, &final_path, json).expect("write result file");
@@ -120,14 +119,15 @@ mod tests {
     }
 
     #[test]
-    fn write_results_lands_atomically_in_results_dir() {
-        let tmp = std::env::temp_dir().join("stsl-results-test");
+    fn persist_lands_atomically_in_the_given_dir() {
+        let tmp = std::env::temp_dir().join(format!("stsl-results-test-{}", std::process::id()));
         std::fs::create_dir_all(&tmp).unwrap();
-        // results_dir() honors STSL_RESULTS; the test process is
-        // single-threaded per test binary invocation of this module.
-        std::env::set_var("STSL_RESULTS", &tmp);
-        write_results("envelope_smoke", "test-bin", 3, &Payload { rows: vec![9] });
-        std::env::remove_var("STSL_RESULTS");
+        let payload = serde_json::to_string_pretty(&Payload { rows: vec![9] }).unwrap();
+        persist(
+            &tmp,
+            "envelope_smoke",
+            &envelope("test-bin", 3, Some(4), &payload),
+        );
         let path = tmp.join("envelope_smoke.json");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!tmp.join("envelope_smoke.json.tmp").exists());
@@ -137,6 +137,6 @@ mod tests {
             Value::Array(items) => assert_eq!(items, &[Value::U64(9)]),
             other => panic!("expected array, got {other:?}"),
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&tmp).ok();
     }
 }

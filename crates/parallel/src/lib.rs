@@ -18,129 +18,34 @@
 //!
 //! # Thread-count control
 //!
-//! The thread budget is resolved per call by [`max_threads`]:
+//! The thread budget is `RunConfig::active().threads` (see [`RunConfig`]
+//! for how it, the tensor [`Backend`] and the event [`QueueKind`] are
+//! resolved): a [`with_threads`] override (tests use this to compare serial
+//! and parallel runs inside one process), else `STSL_THREADS` (`1` = exact
+//! serial path), else [`std::thread::available_parallelism`].
 //!
-//! 1. a thread-local override installed by [`with_threads`] (tests use this
-//!    to compare serial and parallel runs inside one process), else
-//! 2. the `STSL_THREADS` environment variable (`1` = exact serial path;
-//!    unparsable values fall back to `1`), else
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! Parallelism is one level deep: worker blocks run with an override of `1`
-//! so nested kernels (e.g. a GEMM inside a per-client forward pass) do not
-//! oversubscribe the machine. A call that stays on the caller's thread
-//! leaves the budget untouched, so the innermost *parallelizable* layer
-//! still gets the full budget when outer layers have nothing to split.
+//! Parallelism is one level deep: every block of a parallel call runs with
+//! the caller's [`RunConfig`] at a budget of `1`, so nested kernels (e.g. a
+//! GEMM inside a per-client forward pass) do not oversubscribe the machine
+//! and still see the caller's backend and queue pins. A call that stays on
+//! the caller's thread leaves the budget untouched, so the innermost
+//! *parallelizable* layer still gets the full budget when outer layers have
+//! nothing to split.
 
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
 use std::ops::Range;
+
+mod run_config;
+
+use run_config::worker;
+pub use run_config::{
+    max_threads, with_backend, with_queue_kind, with_threads, Backend, QueueKind, RunConfig,
+};
 
 /// Scoped threads, re-exported so downstream crates never spell out
 /// `std::thread` for ad-hoc fan-outs.
 pub use std::thread::scope;
-
-thread_local! {
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static SCOPE_CONTEXT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Restores the previous thread-local override when dropped, so overrides
-/// nest correctly even across panics.
-struct OverrideGuard(Option<usize>);
-
-impl Drop for OverrideGuard {
-    fn drop(&mut self) {
-        THREAD_OVERRIDE.with(|o| o.set(self.0));
-    }
-}
-
-fn set_override(n: Option<usize>) -> OverrideGuard {
-    OverrideGuard(THREAD_OVERRIDE.with(|o| o.replace(n)))
-}
-
-/// Runs `f` with the thread budget pinned to 1 (used inside worker blocks).
-fn serial<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = set_override(Some(1));
-    f()
-}
-
-/// Restores the previous scope context when dropped.
-struct ContextGuard(u64);
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        SCOPE_CONTEXT.with(|c| c.set(self.0));
-    }
-}
-
-fn set_context(bits: u64) -> ContextGuard {
-    ContextGuard(SCOPE_CONTEXT.with(|c| c.replace(bits)))
-}
-
-/// The ambient scope-context bits for the current thread.
-///
-/// The context is an opaque `u64` that callers (e.g. `stsl-tensor`'s
-/// compute-backend override) stash per-call configuration in. Unlike a
-/// plain `thread_local!` in the caller's crate, these bits are
-/// **propagated into every worker thread** spawned by the parallel
-/// primitives in this crate, so a configuration installed with
-/// [`with_scope_context`] is seen by kernels running on pool workers —
-/// not just on the installing thread. Zero means "no context".
-pub fn scope_context() -> u64 {
-    SCOPE_CONTEXT.with(|c| c.get())
-}
-
-/// Runs `f` with the ambient scope context set to `bits` on this thread
-/// (and, transitively, on every worker any parallel call inside `f`
-/// spawns), restoring the previous context afterwards — including on
-/// panic. Overrides nest like [`with_threads`].
-pub fn with_scope_context<R>(bits: u64, f: impl FnOnce() -> R) -> R {
-    let _guard = set_context(bits);
-    f()
-}
-
-/// Worker-side prologue: adopt the spawning thread's scope context and a
-/// serial thread budget, then run the block. Every scoped worker in this
-/// crate funnels through here so the two ambient values stay in sync.
-fn worker<R>(ctx: u64, f: impl FnOnce() -> R) -> R {
-    let _ctx = set_context(ctx);
-    let _budget = set_override(Some(1));
-    f()
-}
-
-/// The thread budget for parallel calls made on the current thread.
-///
-/// Resolution order: [`with_threads`] override, then `STSL_THREADS`, then
-/// [`std::thread::available_parallelism`]. Always at least 1. The
-/// environment is consulted on every call (no caching) so tests can flip
-/// thread counts within one process.
-pub fn max_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
-        return n.max(1);
-    }
-    match std::env::var("STSL_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            // Unparsable or zero: the safe interpretation is exact-serial.
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Runs `f` with the thread budget pinned to `n.max(1)` on this thread,
-/// restoring the previous budget afterwards (including on panic).
-///
-/// This is how the equivalence suite compares `STSL_THREADS=1` against
-/// `STSL_THREADS=4` inside a single test process.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = set_override(Some(n.max(1)));
-    f()
-}
 
 /// Runs two closures, potentially in parallel, and returns both results.
 ///
@@ -153,13 +58,13 @@ where
     B: FnOnce() -> RB + Send,
     RB: Send,
 {
-    if max_threads() < 2 {
+    let config = RunConfig::active();
+    if config.threads < 2 {
         return (a(), b());
     }
-    let ctx = scope_context();
     std::thread::scope(|s| {
-        let hb = s.spawn(move || worker(ctx, b));
-        let ra = serial(a);
+        let hb = s.spawn(move || worker(config, b));
+        let ra = worker(config, a);
         let rb = match hb.join() {
             Ok(r) => r,
             Err(p) => std::panic::resume_unwind(p),
@@ -274,14 +179,14 @@ where
     assert!(row_len > 0, "row_len must be positive");
     assert_eq!(data.len() % row_len, 0, "data must be whole rows");
     let rows = data.len() / row_len;
-    let ranges = policy.ranges(rows, max_threads());
+    let config = RunConfig::active();
+    let ranges = policy.ranges(rows, config.threads);
     if ranges.len() <= 1 {
         if rows > 0 {
             f(0, data);
         }
         return;
     }
-    let ctx = scope_context();
     std::thread::scope(|s| {
         let f = &f;
         let mut rest = data;
@@ -295,11 +200,11 @@ where
                 first = Some((r.start, chunk));
             } else {
                 let start = r.start;
-                handles.push(s.spawn(move || worker(ctx, || f(start, chunk))));
+                handles.push(s.spawn(move || worker(config, || f(start, chunk))));
             }
         }
         let (start, chunk) = first.expect("at least two ranges");
-        serial(|| f(start, chunk));
+        worker(config, || f(start, chunk));
         for h in handles {
             if let Err(p) = h.join() {
                 std::panic::resume_unwind(p);
@@ -335,14 +240,14 @@ pub fn par_chunks_mut2<A, B, F>(
     assert_eq!(b.len() % b_row, 0, "b must be whole rows");
     let rows = a.len() / a_row;
     assert_eq!(b.len() / b_row, rows, "row counts must agree");
-    let ranges = policy.ranges(rows, max_threads());
+    let config = RunConfig::active();
+    let ranges = policy.ranges(rows, config.threads);
     if ranges.len() <= 1 {
         if rows > 0 {
             f(0, a, b);
         }
         return;
     }
-    let ctx = scope_context();
     std::thread::scope(|s| {
         let f = &f;
         let mut rest_a = a;
@@ -361,11 +266,11 @@ pub fn par_chunks_mut2<A, B, F>(
                 first = Some((r.start, chunk_a, chunk_b));
             } else {
                 let start = r.start;
-                handles.push(s.spawn(move || worker(ctx, || f(start, chunk_a, chunk_b))));
+                handles.push(s.spawn(move || worker(config, || f(start, chunk_a, chunk_b))));
             }
         }
         let (start, chunk_a, chunk_b) = first.expect("at least two ranges");
-        serial(|| f(start, chunk_a, chunk_b));
+        worker(config, || f(start, chunk_a, chunk_b));
         for h in handles {
             if let Err(p) = h.join() {
                 std::panic::resume_unwind(p);
@@ -381,19 +286,19 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let ranges = policy.ranges(items, max_threads());
+    let config = RunConfig::active();
+    let ranges = policy.ranges(items, config.threads);
     if ranges.len() <= 1 {
         return (0..items).map(f).collect();
     }
-    let ctx = scope_context();
     std::thread::scope(|s| {
         let f = &f;
         let mut iter = ranges.into_iter();
         let head = iter.next().expect("at least two ranges");
         let handles: Vec<_> = iter
-            .map(|r| s.spawn(move || worker(ctx, || r.map(f).collect::<Vec<R>>())))
+            .map(|r| s.spawn(move || worker(config, || r.map(f).collect::<Vec<R>>())))
             .collect();
-        let mut out = serial(|| head.map(f).collect::<Vec<R>>());
+        let mut out = worker(config, || head.map(f).collect::<Vec<R>>());
         for h in handles {
             match h.join() {
                 Ok(v) => out.extend(v),
@@ -416,11 +321,11 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let ranges = policy.ranges(items.len(), max_threads());
+    let config = RunConfig::active();
+    let ranges = policy.ranges(items.len(), config.threads);
     if ranges.len() <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let ctx = scope_context();
     std::thread::scope(|s| {
         let f = &f;
         let mut rest = items;
@@ -435,7 +340,7 @@ where
             } else {
                 let start = r.start;
                 handles.push(s.spawn(move || {
-                    worker(ctx, || {
+                    worker(config, || {
                         chunk
                             .iter_mut()
                             .enumerate()
@@ -446,7 +351,7 @@ where
             }
         }
         let (start, chunk) = first.expect("at least two ranges");
-        let mut out = serial(|| {
+        let mut out = worker(config, || {
             chunk
                 .iter_mut()
                 .enumerate()
@@ -513,34 +418,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scope_context_defaults_to_zero_and_restores() {
-        assert_eq!(scope_context(), 0);
-        with_scope_context(7, || {
-            assert_eq!(scope_context(), 7);
-            with_scope_context(9, || assert_eq!(scope_context(), 9));
-            assert_eq!(scope_context(), 7);
-        });
-        assert_eq!(scope_context(), 0);
-    }
-
-    #[test]
-    fn scope_context_propagates_to_workers() {
-        with_threads(4, || {
-            with_scope_context(42, || {
-                let seen = par_map_indexed(8, ChunkPolicy::min_chunk(1), |_| scope_context());
-                assert_eq!(seen, vec![42; 8]);
-                let mut buf = vec![0u64; 8];
-                par_chunks_mut(&mut buf, 1, ChunkPolicy::min_chunk(1), |_, c| {
-                    c.fill(scope_context());
-                });
-                assert_eq!(buf, vec![42; 8]);
-                let (a, b) = join(scope_context, scope_context);
-                assert_eq!((a, b), (42, 42));
-            });
-        });
     }
 
     #[test]

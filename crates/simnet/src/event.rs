@@ -16,92 +16,17 @@
 //!
 //! # Selection
 //!
-//! Resolution order, at queue construction:
-//!
-//! 1. a scope override installed by [`with_queue_kind`] (rides the
-//!    `stsl-parallel` scope context, on bits disjoint from the tensor
-//!    backend's, so the two seams compose);
-//! 2. the `STSL_QUEUE` environment variable (`calendar`/`bucket` or
-//!    `reference`/`heap`; an unparsable value falls back to the
-//!    reference heap);
-//! 3. the default: [`QueueKind::Calendar`].
+//! A new queue adopts `stsl_parallel::RunConfig::active().queue`: a
+//! [`with_queue_kind`](crate::with_queue_kind) scope override, else
+//! `STSL_QUEUE` (`calendar`/`bucket` or `reference`/`heap`; an
+//! unparsable value falls back to the reference heap), else
+//! [`QueueKind::Calendar`].
 
 use crate::calendar::CalendarQueue;
 use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which backing store services a simulation's event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// The original `BinaryHeap` path: the ordering oracle.
-    Reference,
-    /// Calendar/bucket queue: O(1) amortized, fleet-scale default.
-    #[default]
-    Calendar,
-}
-
-/// Scope-context bit pattern for a pinned reference (heap) queue.
-/// Bits 2–3; bits 0–1 belong to `stsl-tensor`'s backend seam.
-const CTX_QUEUE_REFERENCE: u64 = 1 << 2;
-/// Scope-context bit pattern for a pinned calendar queue.
-const CTX_QUEUE_CALENDAR: u64 = 2 << 2;
-/// Mask of the scope-context bits owned by queue selection.
-const CTX_QUEUE_MASK: u64 = 0b11 << 2;
-
-impl QueueKind {
-    /// The backing store a new [`EventQueue`] adopts on this thread: a
-    /// [`with_queue_kind`] scope override, else `STSL_QUEUE`, else
-    /// [`QueueKind::Calendar`].
-    pub fn active() -> QueueKind {
-        match stsl_parallel::scope_context() & CTX_QUEUE_MASK {
-            CTX_QUEUE_REFERENCE => QueueKind::Reference,
-            CTX_QUEUE_CALENDAR => QueueKind::Calendar,
-            _ => Self::from_env(),
-        }
-    }
-
-    /// Parses a queue-kind name: `reference`/`heap` or `calendar`/`bucket`
-    /// (ASCII case-insensitive).
-    pub fn parse(name: &str) -> Option<QueueKind> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "reference" | "heap" => Some(QueueKind::Reference),
-            "calendar" | "bucket" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name, the spelling `STSL_QUEUE` accepts and the
-    /// bench envelopes report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueueKind::Reference => "reference",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-
-    /// Environment-level selection: `STSL_QUEUE`, else the default.
-    /// Unparsable values resolve to the reference heap.
-    fn from_env() -> QueueKind {
-        match std::env::var("STSL_QUEUE") {
-            Ok(v) => QueueKind::parse(&v).unwrap_or(QueueKind::Reference),
-            Err(_) => QueueKind::default(),
-        }
-    }
-}
-
-/// Runs `f` with the event-queue backing pinned to `kind` for every
-/// [`EventQueue`] constructed inside, restoring the previous selection
-/// afterwards (including on panic). Rides the `stsl-parallel` scope
-/// context, so the pin reaches queues built on pool worker threads too.
-pub fn with_queue_kind<R>(kind: QueueKind, f: impl FnOnce() -> R) -> R {
-    let bits = match kind {
-        QueueKind::Reference => CTX_QUEUE_REFERENCE,
-        QueueKind::Calendar => CTX_QUEUE_CALENDAR,
-    };
-    let ctx = (stsl_parallel::scope_context() & !CTX_QUEUE_MASK) | bits;
-    stsl_parallel::with_scope_context(ctx, f)
-}
+use stsl_parallel::QueueKind;
 
 /// An event queue delivering payloads in `(time, insertion order)` order.
 ///
@@ -243,6 +168,7 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::with_queue_kind;
 
     const BOTH: [QueueKind; 2] = [QueueKind::Reference, QueueKind::Calendar];
 
@@ -333,18 +259,6 @@ mod tests {
             assert_eq!(QueueKind::active(), QueueKind::Reference);
         });
         assert_eq!(QueueKind::active(), outer);
-    }
-
-    #[test]
-    fn queue_kind_bits_compose_with_backend_bits() {
-        // The queue seam owns bits 2–3; anything living in bits 0–1 (the
-        // tensor backend pin) must survive a nested queue-kind pin.
-        stsl_parallel::with_scope_context(0b01, || {
-            with_queue_kind(QueueKind::Reference, || {
-                assert_eq!(stsl_parallel::scope_context() & 0b11, 0b01);
-                assert_eq!(QueueKind::active(), QueueKind::Reference);
-            });
-        });
     }
 
     #[test]

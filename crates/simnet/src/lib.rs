@@ -40,11 +40,12 @@ mod time;
 mod topology;
 mod trace;
 
-pub use event::{with_queue_kind, EventQueue, QueueKind};
+pub use event::EventQueue;
 pub use fault::{corrupt_payload, AttackSpec, FaultEpisode, FaultKind, FaultPlan};
 pub use link::{LatencyModel, Link};
 pub use network::{Delivery, Direction, SimNetwork};
 pub use stats::{LatencyStats, TrafficCounter};
+pub use stsl_parallel::{with_queue_kind, QueueKind};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EndSystemId, GeoPoint, StarTopology};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceTally};

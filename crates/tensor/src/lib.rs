@@ -28,15 +28,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 mod error;
 pub mod init;
 pub mod ops;
 mod shape;
 mod tensor;
 
-pub use backend::{with_backend, Backend};
 pub use error::TensorError;
 pub use ops::reduce::{mean_f32, sum_f32, sum_f64, sum_sq_f64};
 pub use shape::Shape;
+pub use stsl_parallel::{with_backend, Backend};
 pub use tensor::Tensor;
