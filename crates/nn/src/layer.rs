@@ -34,8 +34,10 @@ pub struct ParamView<'a> {
 ///
 /// The contract mirrors classic define-by-run frameworks:
 ///
-/// 1. `forward(input, Mode::Train)` computes the output **and caches**
-///    whatever intermediate state `backward` will need;
+/// 1. `forward(input, Mode::Train)` (that is, [`Layer::forward_train`])
+///    computes the output **and caches** whatever intermediate state
+///    `backward` will need, while `forward(input, Mode::Eval)` is
+///    [`Layer::infer`], which reads the layer and changes nothing;
 /// 2. `backward(dout)` consumes that cache, **accumulates** parameter
 ///    gradients (`+=`, so gradient accumulation across micro-batches works)
 ///    and returns the gradient w.r.t. the layer input;
@@ -44,18 +46,42 @@ pub struct ParamView<'a> {
 /// Layers are deliberately object-safe so a network is just
 /// `Vec<Box<dyn Layer>>`, which is what lets the split-learning crate cut a
 /// model into client and server halves at an arbitrary layer boundary.
-pub trait Layer: std::fmt::Debug + Send {
+/// Layers are `Sync` so several threads can run [`Layer::infer`] on one
+/// shared model (the trainers evaluate every end-system's encoder against
+/// the one server model concurrently).
+pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Human-readable layer kind (e.g. `"conv2d"`), stable across runs.
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output.
-    ///
-    /// In [`Mode::Train`] the layer caches intermediates for `backward`.
+    /// Evaluation-mode output: deterministic, caches nothing and leaves
+    /// the layer untouched. This is the layer's one eval implementation;
+    /// `forward(input, Mode::Eval)` runs it.
     ///
     /// # Panics
     ///
     /// Panics if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    fn infer(&self, input: &Tensor) -> Tensor;
+
+    /// Training-mode output: stochastic regularizers are active and the
+    /// layer caches the intermediates a following `backward` needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape is incompatible with the layer.
+    fn forward_train(&mut self, input: &Tensor) -> Tensor;
+
+    /// Computes the layer output in `mode`: [`Layer::forward_train`] in
+    /// [`Mode::Train`], [`Layer::infer`] in [`Mode::Eval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape is incompatible with the layer.
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        match mode {
+            Mode::Train => self.forward_train(input),
+            Mode::Eval => self.infer(input),
+        }
+    }
 
     /// Backpropagates `dout` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients and returning the gradient w.r.t.
@@ -139,8 +165,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "scale"
         }
-        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+        fn infer(&self, input: &Tensor) -> Tensor {
             input.map(|x| x * self.factor.item())
+        }
+        fn forward_train(&mut self, input: &Tensor) -> Tensor {
+            self.infer(input)
         }
         fn backward(&mut self, dout: &Tensor) -> Tensor {
             dout.map(|g| g * self.factor.item())

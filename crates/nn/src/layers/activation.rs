@@ -1,6 +1,6 @@
 //! Parameter-free activation and reshaping layers.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::Layer;
 use stsl_tensor::init::rng_from_seed;
 use stsl_tensor::Tensor;
 
@@ -22,11 +22,13 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+    fn infer(&self, input: &Tensor) -> Tensor {
         input.map(|x| x.max(0.0))
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+        self.infer(input)
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -68,12 +70,14 @@ impl Layer for LeakyRelu {
         "leaky_relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+    fn infer(&self, input: &Tensor) -> Tensor {
         let a = self.alpha;
         input.map(|x| if x > 0.0 { x } else { a * x })
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+        self.infer(input)
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -114,11 +118,13 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
+    fn infer(&self, input: &Tensor) -> Tensor {
+        input.map(|x| 1.0 / (1.0 + (-x).exp()))
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.output = Some(out.clone());
         out
     }
 
@@ -154,11 +160,13 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = input.map(f32::tanh);
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
+    fn infer(&self, input: &Tensor) -> Tensor {
+        input.map(f32::tanh)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.output = Some(out.clone());
         out
     }
 
@@ -194,13 +202,16 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
         assert!(input.rank() >= 1, "flatten expects a batch dimension");
-        if mode == Mode::Train {
-            self.input_dims = Some(input.dims().to_vec());
-        }
         let n = input.dim(0);
         input.reshape([n, input.len() / n.max(1)])
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.input_dims = Some(input.dims().to_vec());
+        out
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -254,9 +265,13 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Eval || self.p == 0.0 {
-            return input.clone();
+    fn infer(&self, input: &Tensor) -> Tensor {
+        input.clone()
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
+            return self.infer(input);
         }
         use rand::Rng;
         let keep = 1.0 - self.p;
@@ -302,6 +317,7 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
 
     #[test]
     fn relu_clamps_negatives() {

@@ -1,6 +1,6 @@
 //! Average-pooling layer.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::Layer;
 use stsl_tensor::ops::conv::ConvSpec;
 use stsl_tensor::ops::pool::{avgpool2d_backward, avgpool2d_forward};
 use stsl_tensor::Tensor;
@@ -55,11 +55,14 @@ impl Layer for AvgPool2d {
         "avgpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            self.input_dims = Some((input.dim(0), input.dim(1), input.dim(2), input.dim(3)));
-        }
+    fn infer(&self, input: &Tensor) -> Tensor {
         avgpool2d_forward(input, self.spec)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.input_dims = Some((input.dim(0), input.dim(1), input.dim(2), input.dim(3)));
+        out
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -83,6 +86,7 @@ impl Layer for AvgPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
     use stsl_tensor::init::rng_from_seed;
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2-D batch normalization.
 
-use crate::layer::{Layer, Mode, ParamView};
+use crate::layer::{Layer, ParamView};
 use stsl_parallel::{par_chunks_mut, par_chunks_mut2, par_map_indexed, ChunkPolicy};
 use stsl_tensor::Tensor;
 
@@ -64,7 +64,7 @@ impl BatchNorm2d {
         // serial loop in (ni, i) ascending order, so the f64 accumulation
         // order — and therefore every rounded f32 — is identical for any
         // thread count.
-        let per_channel = par_map_indexed(c, ChunkPolicy::min_chunk(1), |ci| {
+        let per_channel = par_map_indexed(c, ChunkPolicy::elems(n * plane), |ci| {
             let planes = (0..n).map(|ni| {
                 let off = (ni * c + ci) * plane;
                 &src[off..off + plane]
@@ -82,14 +82,8 @@ impl BatchNorm2d {
         });
         per_channel.into_iter().unzip()
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn name(&self) -> &'static str {
-        "batchnorm2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn check_input(&self, input: &Tensor) {
         assert_eq!(
             input.rank(),
             4,
@@ -97,25 +91,13 @@ impl Layer for BatchNorm2d {
             input.shape()
         );
         assert_eq!(input.dim(1), self.channels, "channel mismatch");
+    }
+
+    /// Normalizes `input` with per-channel `mean` and `var`, then applies
+    /// the affine map; returns the output and what `backward` needs.
+    fn normalize(&self, input: &Tensor, mean: &[f32], var: &[f32]) -> (Tensor, Cache) {
         let (c, h, w) = (input.dim(1), input.dim(2), input.dim(3));
         let plane = h * w;
-        let (mean, var) = match mode {
-            Mode::Train => {
-                let (mean, var) = self.stats(input);
-                // Update running statistics.
-                for ci in 0..c {
-                    let rm = self.running_mean.as_mut_slice();
-                    rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
-                    let rv = self.running_var.as_mut_slice();
-                    rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
-                }
-                (mean, var)
-            }
-            Mode::Eval => (
-                self.running_mean.as_slice().to_vec(),
-                self.running_var.as_slice().to_vec(),
-            ),
-        };
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let src = input.as_slice();
         let gamma = self.gamma.as_slice();
@@ -131,7 +113,7 @@ impl Layer for BatchNorm2d {
                 &mut xhat,
                 sample,
                 sample,
-                ChunkPolicy::min_chunk(1),
+                ChunkPolicy::elems(sample),
                 |ni0, out_band, xhat_band| {
                     for bi in 0..out_band.len() / sample {
                         let ni = ni0 + bi;
@@ -148,14 +130,44 @@ impl Layer for BatchNorm2d {
                 },
             );
         }
-        if mode == Mode::Train {
-            self.cache = Some(Cache {
-                xhat: Tensor::from_vec(xhat, input.dims().to_vec()),
-                inv_std,
-                dims: input.dims().to_vec(),
-            });
+        let dims = input.dims().to_vec();
+        let cache = Cache {
+            xhat: Tensor::from_vec(xhat, dims.clone()),
+            inv_std,
+            dims: dims.clone(),
+        };
+        (Tensor::from_vec(out, dims), cache)
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn name(&self) -> &'static str {
+        "batchnorm2d"
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.check_input(input);
+        let (out, _) = self.normalize(
+            input,
+            self.running_mean.as_slice(),
+            self.running_var.as_slice(),
+        );
+        out
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.check_input(input);
+        let (mean, var) = self.stats(input);
+        // Update running statistics.
+        for ci in 0..self.channels {
+            let rm = self.running_mean.as_mut_slice();
+            rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
+            let rv = self.running_var.as_mut_slice();
+            rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
         }
-        Tensor::from_vec(out, input.dims().to_vec())
+        let (out, cache) = self.normalize(input, &mean, &var);
+        self.cache = Some(cache);
+        out
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -174,7 +186,7 @@ impl Layer for BatchNorm2d {
         // channel's two sums accumulate in the same (ni, i) ascending order
         // as the serial sweep, so no reduction-order drift.
         let (sum_dy, sum_dy_xhat): (Vec<f32>, Vec<f32>) =
-            par_map_indexed(c, ChunkPolicy::min_chunk(1), |ci| {
+            par_map_indexed(c, ChunkPolicy::elems(n * plane), |ci| {
                 let offs = (0..n).map(|ni| (ni * c + ci) * plane);
                 let dy = stsl_tensor::sum_f32(
                     offs.clone()
@@ -200,7 +212,7 @@ impl Layer for BatchNorm2d {
         let mut dx = vec![0.0f32; g.len()];
         let sample = c * plane;
         if !dx.is_empty() {
-            par_chunks_mut(&mut dx, sample, ChunkPolicy::min_chunk(1), |ni0, band| {
+            par_chunks_mut(&mut dx, sample, ChunkPolicy::elems(sample), |ni0, band| {
                 for bi in 0..band.len() / sample {
                     let ni = ni0 + bi;
                     for ci in 0..c {
@@ -243,6 +255,7 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
     use stsl_tensor::init::rng_from_seed;
 
     #[test]

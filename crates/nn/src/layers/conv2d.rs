@@ -1,6 +1,6 @@
 //! 2-D convolution layer.
 
-use crate::layer::{Layer, Mode, ParamView};
+use crate::layer::{Layer, ParamView};
 use stsl_tensor::init::rng_from_seed;
 use stsl_tensor::ops::conv::{conv2d_backward, conv2d_forward, ConvSpec};
 use stsl_tensor::Tensor;
@@ -109,15 +109,19 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
+        conv2d_forward(input, &self.weight, &self.bias, self.spec)
+            .expect("conv2d forward shape mismatch")
+            .output
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let fwd = conv2d_forward(input, &self.weight, &self.bias, self.spec)
             .expect("conv2d forward shape mismatch");
-        if mode == Mode::Train {
-            self.cache = Some(Cache {
-                cols: fwd.cols,
-                input_dims: (input.dim(0), input.dim(1), input.dim(2), input.dim(3)),
-            });
-        }
+        self.cache = Some(Cache {
+            cols: fwd.cols,
+            input_dims: (input.dim(0), input.dim(1), input.dim(2), input.dim(3)),
+        });
         fwd.output
     }
 
@@ -159,6 +163,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
 
     #[test]
     fn forward_shape_same_padding() {

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use crate::layer::{Layer, Mode, ParamView};
+use crate::layer::{Layer, ParamView};
 use stsl_tensor::init::rng_from_seed;
 use stsl_tensor::Tensor;
 
@@ -61,7 +61,7 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.rank(),
             2,
@@ -79,7 +79,7 @@ impl Layer for Dense {
             stsl_parallel::par_chunks_mut(
                 data,
                 o,
-                stsl_parallel::ChunkPolicy::min_chunk(64),
+                stsl_parallel::ChunkPolicy::elems(o),
                 |_r0, band| {
                     for row in band.chunks_mut(o) {
                         for (d, &b) in row.iter_mut().zip(bias) {
@@ -89,9 +89,12 @@ impl Layer for Dense {
                 },
             );
         }
-        if mode == Mode::Train {
-            self.cache = Some(input.clone());
-        }
+        out
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.cache = Some(input.clone());
         out
     }
 
@@ -139,6 +142,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
     use stsl_tensor::init::rng_from_seed;
 
     #[test]

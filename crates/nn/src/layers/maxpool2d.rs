@@ -1,6 +1,6 @@
 //! Max-pooling layer.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::Layer;
 use stsl_tensor::ops::conv::ConvSpec;
 use stsl_tensor::ops::pool::{maxpool2d_backward, maxpool2d_forward};
 use stsl_tensor::Tensor;
@@ -60,14 +60,16 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
+        maxpool2d_forward(input, self.spec).output
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let fwd = maxpool2d_forward(input, self.spec);
-        if mode == Mode::Train {
-            self.cache = Some(Cache {
-                argmax: fwd.argmax,
-                input_dims: input.dims().to_vec(),
-            });
-        }
+        self.cache = Some(Cache {
+            argmax: fwd.argmax,
+            input_dims: input.dims().to_vec(),
+        });
         fwd.output
     }
 
@@ -93,6 +95,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
     use stsl_tensor::init::rng_from_seed;
 
     #[test]

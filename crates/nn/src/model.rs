@@ -73,6 +73,17 @@ impl Sequential {
         x
     }
 
+    /// Runs the network in evaluation mode through every layer's
+    /// [`Layer::infer`]: bitwise equal to `forward(input, Mode::Eval)`, but
+    /// through `&self`, so several threads can share one network.
+    pub fn infer(&self, input: &Tensor) -> Tensor {
+        let mut x = input.clone();
+        for layer in &self.layers {
+            x = layer.infer(&x);
+        }
+        x
+    }
+
     /// Runs the network forward, returning the output of **every** layer
     /// in order (the last element equals [`Sequential::forward`]'s
     /// result). Used by the privacy experiments to capture what an

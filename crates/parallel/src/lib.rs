@@ -24,6 +24,19 @@
 //! and parallel runs inside one process), else `STSL_THREADS` (`1` = exact
 //! serial path), else [`std::thread::available_parallelism`].
 //!
+//! # Work grain
+//!
+//! A parallel call pays one OS-thread spawn per extra block (about
+//! 45–50 µs on a 2-vCPU x86-64 host), so a block only pays when it carries
+//! more work than that. Kernels state their work per item with
+//! [`ChunkPolicy::macs`] (compute-bound: multiply-adds) or
+//! [`ChunkPolicy::elems`] (memory-bound: elements touched), and the policy
+//! turns the crate-wide grains [`MIN_BLOCK_MACS`] and [`MIN_BLOCK_ELEMS`]
+//! into a minimum block size. Problems below two blocks' worth of work stay
+//! on the caller's thread. [`ChunkPolicy::min_chunk`] remains for fan-outs
+//! whose one item is a whole model pass (the split trainers' client
+//! phases and their evaluation across encoders).
+//!
 //! Parallelism is one level deep: every block of a parallel call runs with
 //! the caller's [`RunConfig`] at a budget of `1`, so nested kernels (e.g. a
 //! GEMM inside a per-client forward pass) do not oversubscribe the machine
@@ -73,15 +86,37 @@ where
     })
 }
 
+/// Multiply-adds one block of a compute-bound kernel (GEMM bands and rows)
+/// must carry before it is worth a thread of its own.
+///
+/// Measured on a 2-vCPU x86-64 host: a thread dispatch costs about
+/// 45–50 µs and the blocked GEMM runs about 5–9 G MAC/s per thread, so a
+/// dispatch is worth roughly 0.25–0.45 M MACs and a block must carry about
+/// two dispatches' worth. GEMM at 2 threads against 1 on that host: 64³
+/// (0.26 M MACs) was 2.5× slower, 96³ (0.9 M MACs) 1.38× slower, and 128³
+/// (2.1 M MACs, two blocks of this grain) 0.88× — faster.
+pub const MIN_BLOCK_MACS: usize = 1 << 20;
+
+/// Elements one block of a memory-bound pass (im2col, col2im, the conv
+/// reorders, softmax rows, batch-norm sweeps, bias adds, B packing) must
+/// touch before it is worth a thread of its own.
+///
+/// Measured on the same host: these passes cost about 1–2.6 ns per
+/// element, so a 45–50 µs dispatch is worth roughly 20–50 K elements and
+/// a block must carry about two dispatches' worth.
+pub const MIN_BLOCK_ELEMS: usize = 1 << 16;
+
 /// How a parallel call splits its index space into contiguous blocks.
 ///
 /// `min_chunk` is the smallest number of items worth handing to a thread;
 /// an index space of `items` is split into
 /// `min(threads, items / min_chunk).max(1)` balanced contiguous ranges.
 /// Small problems therefore stay on the caller's thread with zero spawn
-/// overhead.
+/// overhead. Kernels derive `min_chunk` from their work per item through
+/// [`ChunkPolicy::macs`] or [`ChunkPolicy::elems`], so every block carries
+/// at least [`MIN_BLOCK_MACS`] or [`MIN_BLOCK_ELEMS`] of work.
 ///
-/// `tile` (see [`ChunkPolicy::tiles`]) additionally forces every block
+/// `tile` (see [`ChunkPolicy::tiled`]) additionally forces every block
 /// boundary except the last onto a multiple of the tile size, so
 /// cache-blocked kernels never see a microtile split across two threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,21 +130,36 @@ pub struct ChunkPolicy {
 
 impl ChunkPolicy {
     /// Policy with the given minimum block size and unaligned boundaries.
+    ///
+    /// For fan-outs whose one item is a whole model pass; kernels use
+    /// [`ChunkPolicy::macs`] or [`ChunkPolicy::elems`] instead.
     pub const fn min_chunk(min_chunk: usize) -> Self {
         ChunkPolicy { min_chunk, tile: 1 }
     }
 
-    /// Policy whose block boundaries fall on multiples of `tile`.
+    /// Policy for a compute-bound kernel whose items each cost `per_item`
+    /// multiply-adds: every block carries at least [`MIN_BLOCK_MACS`].
+    pub const fn macs(per_item: usize) -> Self {
+        Self::min_chunk(grain(MIN_BLOCK_MACS, per_item))
+    }
+
+    /// Policy for a memory-bound pass whose items each touch `per_item`
+    /// elements: every block carries at least [`MIN_BLOCK_ELEMS`].
+    pub const fn elems(per_item: usize) -> Self {
+        Self::min_chunk(grain(MIN_BLOCK_ELEMS, per_item))
+    }
+
+    /// This policy with block boundaries on multiples of `tile`.
     ///
-    /// This is the partitioning the blocked tensor kernels use: the index
+    /// This is the partitioning the blocked GEMM bands use: the index
     /// space is a stack of `tile`-row microtiles, and handing a thread a
     /// range that starts or ends mid-tile would force it to recompute a
     /// partial tile another thread also owns. Boundaries are rounded down
     /// to tile edges (the final block absorbs the ragged tail), and a
     /// block never covers fewer than `min_chunk.max(tile)` items unless
     /// the whole index space does.
-    pub const fn tiles(min_chunk: usize, tile: usize) -> Self {
-        ChunkPolicy { min_chunk, tile }
+    pub const fn tiled(self, tile: usize) -> Self {
+        ChunkPolicy { tile, ..self }
     }
 
     /// The contiguous, disjoint, ascending ranges covering `0..items`.
@@ -157,6 +207,12 @@ impl ChunkPolicy {
         }
         out
     }
+}
+
+/// Items needed to carry `work` when each costs `per_item` (at least 1).
+const fn grain(work: usize, per_item: usize) -> usize {
+    let per_item = if per_item == 0 { 1 } else { per_item };
+    work.div_ceil(per_item)
 }
 
 /// Splits `data` into row-aligned contiguous chunks and calls
@@ -402,7 +458,7 @@ mod tests {
         for items in [1usize, 3, 4, 7, 16, 37, 64, 129, 1000] {
             for threads in [1usize, 2, 4, 7] {
                 for tile in [2usize, 4, 8] {
-                    let ranges = ChunkPolicy::tiles(1, tile).ranges(items, threads);
+                    let ranges = ChunkPolicy::min_chunk(1).tiled(tile).ranges(items, threads);
                     let mut next = 0;
                     for (i, r) in ranges.iter().enumerate() {
                         assert_eq!(r.start, next, "contiguous ascending");
@@ -418,6 +474,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn work_policies_give_every_block_a_full_grain() {
+        for per_item in [0usize, 1, 3, 1000, 4096, 70_000, MIN_BLOCK_MACS, 1 << 22] {
+            for items in [1usize, 2, 17, 300, 5000] {
+                for (policy, grain) in [
+                    (ChunkPolicy::macs(per_item), MIN_BLOCK_MACS),
+                    (ChunkPolicy::elems(per_item), MIN_BLOCK_ELEMS),
+                    (ChunkPolicy::macs(per_item).tiled(4), MIN_BLOCK_MACS),
+                ] {
+                    let ranges = policy.ranges(items, 4);
+                    if ranges.len() > 1 {
+                        for r in &ranges {
+                            assert!((r.end - r.start) * per_item.max(1) >= grain);
+                        }
+                    }
+                }
+            }
+        }
+        // Two grains' worth splits in two; just under stays whole.
+        assert_eq!(ChunkPolicy::macs(1000).ranges(2 * 1049, 2).len(), 2);
+        assert_eq!(ChunkPolicy::macs(1000).ranges(2 * 1049 - 1, 2).len(), 1);
+        assert_eq!(ChunkPolicy::elems(MIN_BLOCK_ELEMS).ranges(2, 2).len(), 2);
+        assert_eq!(ChunkPolicy::macs(8).tiled(4).tile, 4);
     }
 
     #[test]

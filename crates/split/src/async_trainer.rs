@@ -1124,14 +1124,10 @@ impl AsyncSplitTrainer {
             }
         }
         let sim_seconds = end.as_secs_f64();
-        let per: Vec<f32> = {
-            let batch = self.config.batch_size.max(32);
-            let server = &mut self.server;
-            self.clients
-                .iter_mut()
-                .map(|c| server.evaluate_with_encoder(test, batch, |x| c.encode(x)))
-                .collect()
-        };
+        let batch = self.config.batch_size.max(32);
+        let per = self
+            .server
+            .evaluate_encoders(test, batch, &mut self.clients);
         let final_accuracy = stsl_tensor::mean_f32(&per);
         // The defense headline: accuracy over the fleet the server still
         // serves. An exiled attacker's own encoder trained against

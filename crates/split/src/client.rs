@@ -285,15 +285,15 @@ impl EndSystem {
     /// Runs the private encoder in inference mode (evaluation and the
     /// privacy experiments use this). No defense noise is added — this is
     /// the raw encoder output.
-    pub fn encode(&mut self, images: &Tensor) -> Tensor {
-        self.model.forward(images, Mode::Eval)
+    pub fn encode(&self, images: &Tensor) -> Tensor {
+        self.model.infer(images)
     }
 
     /// Like [`EndSystem::encode`], but with the configured noise defense
     /// applied — this is what an eavesdropper or honest-but-curious server
     /// actually observes on the wire when the defense is active.
     pub fn encode_protected(&mut self, images: &Tensor) -> Tensor {
-        let mut out = self.model.forward(images, Mode::Eval);
+        let mut out = self.model.infer(images);
         if self.smash_noise > 0.0 {
             let noise = Tensor::randn(out.dims().to_vec(), &mut self.noise_rng);
             out.axpy(self.smash_noise, &noise);

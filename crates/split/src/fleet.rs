@@ -570,15 +570,9 @@ impl FleetTrainer {
     }
 
     fn finish(&mut self, test: &ImageDataset) -> FleetReport {
-        let per_cohort_accuracy: Vec<f32> = (0..self.config.cohorts)
-            .map(|c| {
-                let replica = &mut self.replicas[c];
-                self.server
-                    .evaluate_with_encoder(test, self.config.batch_size, |imgs| {
-                        replica.encode(imgs)
-                    })
-            })
-            .collect();
+        let per_cohort_accuracy =
+            self.server
+                .evaluate_encoders(test, self.config.batch_size, &mut self.replicas);
         let final_accuracy = stsl_tensor::mean_f32(&per_cohort_accuracy);
         let sim_seconds = self.events.now().as_micros() as f64 / 1e6;
         let events_per_sim_sec = if sim_seconds > 0.0 {

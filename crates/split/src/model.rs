@@ -246,6 +246,27 @@ mod tests {
     }
 
     #[test]
+    fn infer_matches_train_forward_on_every_layer_and_caches_nothing() {
+        for arch in [CnnArch::paper(), CnnArch::tiny()] {
+            let mut net = arch.build(4);
+            let side = arch.image_side;
+            let x = Tensor::randn([2, 3, side, side], &mut rng_from_seed(5));
+            assert_eq!(net.infer(&x), net.forward(&x, Mode::Eval));
+            let mut a = x;
+            net.visit_layers(&mut |layer| {
+                let fresh = format!("{layer:?}");
+                let inferred = layer.infer(&a);
+                let evaluated = layer.forward(&a, Mode::Eval);
+                assert_eq!(format!("{layer:?}"), fresh, "{} cached", layer.name());
+                let trained = layer.forward(&a, Mode::Train);
+                assert_eq!(inferred, trained, "{} infer differs", layer.name());
+                assert_eq!(evaluated, trained, "{} eval differs", layer.name());
+                a = trained;
+            });
+        }
+    }
+
+    #[test]
     fn cut_dims_match_actual_activations() {
         let arch = CnnArch::tiny();
         for k in 0..=arch.blocks() {

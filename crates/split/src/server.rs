@@ -2,6 +2,7 @@
 //! trained on every end-system's smashed activations.
 
 use crate::aggregate::{AggregationPolicy, RobustAggregator, RobustApply};
+use crate::client::EndSystem;
 use crate::guard::{validate_update, Anomaly, GuardConfig};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use stsl_data::ImageDataset;
@@ -9,6 +10,7 @@ use stsl_nn::loss::{Loss, SoftmaxCrossEntropy};
 use stsl_nn::metrics::RunningMean;
 use stsl_nn::optim::Optimizer;
 use stsl_nn::{Mode, Sequential};
+use stsl_parallel::{par_map_mut, ChunkPolicy};
 use stsl_telemetry::{MetricId, TelemetryHub};
 use stsl_tensor::Tensor;
 
@@ -261,39 +263,69 @@ impl CentralServer {
 
     /// Inference through the upper layers only (activations already
     /// encoded by some end-system).
-    pub fn infer(&mut self, activations: &Tensor) -> Tensor {
-        self.model.forward(activations, Mode::Eval)
+    pub fn infer(&self, activations: &Tensor) -> Tensor {
+        self.model.infer(activations)
     }
 
     /// Evaluates accuracy on `test` using `encode` to run an end-system's
     /// private encoder, in batches of `batch_size`.
     pub fn evaluate_with_encoder(
-        &mut self,
+        &self,
         test: &ImageDataset,
         batch_size: usize,
-        mut encode: impl FnMut(&Tensor) -> Tensor,
+        encode: impl FnMut(&Tensor) -> Tensor,
     ) -> f32 {
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        let mut start = 0;
-        while start < test.len() {
-            let end = (start + batch_size).min(test.len());
-            let indices: Vec<usize> = (start..end).collect();
-            let (images, targets) = test.batch(&indices);
-            let encoded = encode(&images);
-            let logits = self.infer(&encoded);
-            let preds = logits.argmax_rows();
-            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
-            total += targets.len();
-            start = end;
-        }
-        hits as f32 / total.max(1) as f32
+        accuracy(&self.model, test, batch_size, encode)
+    }
+
+    /// Test accuracy of every end-system's encoder followed by the upper
+    /// layers, in `encoders` order: bitwise the per-encoder
+    /// [`CentralServer::evaluate_with_encoder`] loop.
+    ///
+    /// Encoders are independent, so they fan out across threads, each
+    /// evaluation at a budget of one thread; with a single block the
+    /// caller's thread keeps the whole budget for the kernels inside.
+    pub fn evaluate_encoders(
+        &self,
+        test: &ImageDataset,
+        batch_size: usize,
+        encoders: &mut [EndSystem],
+    ) -> Vec<f32> {
+        let model = &self.model;
+        par_map_mut(encoders, ChunkPolicy::min_chunk(1), |_, e| {
+            accuracy(model, test, batch_size, |x| e.encode(x))
+        })
     }
 
     /// The upper model (for checkpointing in experiments).
     pub fn model_mut(&mut self) -> &mut Sequential {
         &mut self.model
     }
+}
+
+/// Accuracy of `encode` followed by `model` on `test`, in batches of
+/// `batch_size`. Takes the upper model alone, not the server, so several
+/// threads can share it while each runs its own encoder.
+fn accuracy(
+    model: &Sequential,
+    test: &ImageDataset,
+    batch_size: usize,
+    mut encode: impl FnMut(&Tensor) -> Tensor,
+) -> f32 {
+    let mut hits = 0usize;
+    let mut total = 0usize;
+    let mut start = 0;
+    while start < test.len() {
+        let end = (start + batch_size).min(test.len());
+        let indices: Vec<usize> = (start..end).collect();
+        let (images, targets) = test.batch(&indices);
+        let logits = model.infer(&encode(&images));
+        let preds = logits.argmax_rows();
+        hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
+        total += targets.len();
+        start = end;
+    }
+    hits as f32 / total.max(1) as f32
 }
 
 #[cfg(test)]
@@ -435,8 +467,49 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_encoders_matches_the_serial_loop_at_every_thread_count() {
+        let cut = 1;
+        let (server, arch) = make_server(cut);
+        let test = SyntheticCifar::new(2).generate_sized(20, arch.image_side);
+        // Fewer encoders than threads (2 at 4) and more (8 at 2 and 4).
+        for count in [2usize, 8] {
+            let mut encoders: Vec<EndSystem> = (0..count)
+                .map(|i| {
+                    let (lower, _) = arch.build_split(CutPoint(cut), 100 + i as u64);
+                    let shard = SyntheticCifar::new(i as u64).generate_sized(4, arch.image_side);
+                    EndSystem::new(
+                        EndSystemId(i),
+                        lower,
+                        shard,
+                        4,
+                        Box::new(Sgd::new(0.05)),
+                        false,
+                        i as u64,
+                    )
+                })
+                .collect();
+            let serial: Vec<u32> = stsl_parallel::with_threads(1, || {
+                encoders
+                    .iter_mut()
+                    .map(|e| server.evaluate_with_encoder(&test, 8, |x| e.encode(x)))
+                    .map(f32::to_bits)
+                    .collect()
+            });
+            for threads in [1usize, 2, 4] {
+                let fanned: Vec<u32> = stsl_parallel::with_threads(threads, || {
+                    server.evaluate_encoders(&test, 8, &mut encoders)
+                })
+                .into_iter()
+                .map(f32::to_bits)
+                .collect();
+                assert_eq!(fanned, serial, "{count} encoders at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
     fn evaluate_with_identity_encoder() {
-        let (mut server, arch) = make_server(0);
+        let (server, arch) = make_server(0);
         let test = SyntheticCifar::new(2).generate_sized(20, arch.image_side);
         let acc = server.evaluate_with_encoder(&test, 8, |x| x.clone());
         assert!((0.0..=1.0).contains(&acc));

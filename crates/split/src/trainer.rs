@@ -324,13 +324,8 @@ impl SpatioTemporalTrainer {
     /// Test accuracy per end-system encoder.
     pub fn evaluate_per_client(&mut self, test: &ImageDataset) -> Vec<f32> {
         let batch = self.config.batch_size.max(32);
-        self.clients
-            .iter_mut()
-            .map(|c| {
-                self.server
-                    .evaluate_with_encoder(test, batch, |x| c.encode(x))
-            })
-            .collect()
+        self.server
+            .evaluate_encoders(test, batch, &mut self.clients)
     }
 
     /// Mean test accuracy over end-system encoders — the deployment-time

@@ -16,7 +16,7 @@
 //! # Determinism
 //!
 //! Work is partitioned over **microtile-aligned bands** of output rows
-//! ([`stsl_parallel::ChunkPolicy::tiles`]), and each output element
+//! ([`stsl_parallel::ChunkPolicy::tiled`]), and each output element
 //! accumulates its `k` terms in ascending order within each `KC` panel,
 //! with panels applied in ascending order — a fixed association that does
 //! not depend on where band or block boundaries fall. Results are
@@ -38,9 +38,6 @@ pub(crate) const NR: usize = 8;
 const KC: usize = 256;
 /// Row-block height per A pack (MC×KC floats = 64 KiB, L2-resident).
 const MC: usize = 64;
-/// Minimum multiply-adds worth handing to a thread (matches the
-/// reference path's grain so small problems stay on the caller).
-const PAR_GRAIN: usize = 1 << 14;
 
 /// How one logical GEMM operand is stored.
 #[derive(Clone, Copy)]
@@ -76,31 +73,35 @@ fn pack_b(b: &[f32], layout: Layout, k: usize, n: usize) -> Vec<f32> {
         return bpack;
     }
     let strip_len = k * NR;
-    let policy = ChunkPolicy::min_chunk((PAR_GRAIN / strip_len.max(1)).max(1));
-    par_chunks_mut(&mut bpack, strip_len, policy, |js0, band| {
-        for (si, strip) in band.chunks_mut(strip_len).enumerate() {
-            let j0 = (js0 + si) * NR;
-            let width = NR.min(n - j0);
-            match layout {
-                Layout::Normal => {
-                    for kk in 0..k {
-                        let src = &b[kk * n + j0..kk * n + j0 + width];
-                        strip[kk * NR..kk * NR + width].copy_from_slice(src);
+    par_chunks_mut(
+        &mut bpack,
+        strip_len,
+        ChunkPolicy::elems(strip_len),
+        |js0, band| {
+            for (si, strip) in band.chunks_mut(strip_len).enumerate() {
+                let j0 = (js0 + si) * NR;
+                let width = NR.min(n - j0);
+                match layout {
+                    Layout::Normal => {
+                        for kk in 0..k {
+                            let src = &b[kk * n + j0..kk * n + j0 + width];
+                            strip[kk * NR..kk * NR + width].copy_from_slice(src);
+                        }
                     }
-                }
-                Layout::Trans => {
-                    // b is n×k; strip lane jj is column j0+jj, i.e. row
-                    // j0+jj of the stored matrix, walked along k.
-                    for jj in 0..width {
-                        let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                        for (kk, &v) in src.iter().enumerate() {
-                            strip[kk * NR + jj] = v;
+                    Layout::Trans => {
+                        // b is n×k; strip lane jj is column j0+jj, i.e. row
+                        // j0+jj of the stored matrix, walked along k.
+                        for jj in 0..width {
+                            let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
+                            for (kk, &v) in src.iter().enumerate() {
+                                strip[kk * NR + jj] = v;
+                            }
                         }
                     }
                 }
             }
-        }
-    });
+        },
+    );
     bpack
 }
 
@@ -220,9 +221,9 @@ pub(crate) fn gemm_core(
     let bpack = pack_b(b, b_layout, k, n);
     let strips = n.div_ceil(NR);
     // One band per thread, boundaries on microtile edges so no MR-tile is
-    // split across threads; the work grain matches the reference path.
-    let min_rows = (PAR_GRAIN / (k * n)).max(1);
-    let policy = ChunkPolicy::tiles(min_rows.max(MR), MR);
+    // split across threads; each row costs k*n multiply-adds, as on the
+    // reference path.
+    let policy = ChunkPolicy::macs(k * n).tiled(MR);
     par_chunks_mut(c, n, policy, |row0, band| {
         let rows = band.len() / n;
         let mut apack = Vec::new();
@@ -395,7 +396,12 @@ mod tests {
     #[test]
     fn bitwise_identical_across_thread_counts() {
         use stsl_parallel::with_threads;
-        let (m, k, n) = (67usize, 300usize, 41usize);
+        // k straddles a KC panel edge, and both the row bands and the B
+        // packing carry at least two grains of work, so both split at 2
+        // threads.
+        let (m, k, n) = (37usize, 300usize, 457usize);
+        assert!(ChunkPolicy::macs(k * n).tiled(MR).ranges(m, 2).len() >= 2);
+        assert!(ChunkPolicy::elems(k * NR).ranges(n.div_ceil(NR), 2).len() >= 2);
         let a = seq(m * k, 0.03);
         let b = seq(k * n, 0.07);
         let run = || {

@@ -88,33 +88,37 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
     // the kernel-position row rather than the batch sample; writes are
     // pure (no accumulation), so any partition yields identical bits.
     if !cols.is_empty() {
-        let policy = ChunkPolicy::min_chunk((4096 / cols_n.max(1)).max(1));
-        par_chunks_mut(&mut cols, cols_n, policy, |row0, chunk| {
-            for (ri, dst_row) in chunk.chunks_mut(cols_n).enumerate() {
-                let row = row0 + ri;
-                let ci = row / (spec.kh * spec.kw);
-                let ki = row / spec.kw % spec.kh;
-                let kj = row % spec.kw;
-                for ni in 0..n {
-                    let plane = &src[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
-                    for oi in 0..oh {
-                        let iy = (oi * spec.stride + ki) as isize - spec.pad as isize;
-                        let dst_base = (ni * oh + oi) * ow;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // stays zero (padding)
-                        }
-                        let src_base = iy as usize * w;
-                        for oj in 0..ow {
-                            let ix = (oj * spec.stride + kj) as isize - spec.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+        par_chunks_mut(
+            &mut cols,
+            cols_n,
+            ChunkPolicy::elems(cols_n),
+            |row0, chunk| {
+                for (ri, dst_row) in chunk.chunks_mut(cols_n).enumerate() {
+                    let row = row0 + ri;
+                    let ci = row / (spec.kh * spec.kw);
+                    let ki = row / spec.kw % spec.kh;
+                    let kj = row % spec.kw;
+                    for ni in 0..n {
+                        let plane = &src[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
+                        for oi in 0..oh {
+                            let iy = (oi * spec.stride + ki) as isize - spec.pad as isize;
+                            let dst_base = (ni * oh + oi) * ow;
+                            if iy < 0 || iy >= h as isize {
+                                continue; // stays zero (padding)
                             }
-                            dst_row[dst_base + oj] = plane[src_base + ix as usize];
+                            let src_base = iy as usize * w;
+                            for oj in 0..ow {
+                                let ix = (oj * spec.stride + kj) as isize - spec.pad as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                dst_row[dst_base + oj] = plane[src_base + ix as usize];
+                            }
                         }
                     }
                 }
-            }
-        });
+            },
+        );
     }
     Tensor::from_vec(cols, [ckk, cols_n])
 }
@@ -134,15 +138,16 @@ pub fn col2im(cols: &Tensor, n: usize, c: usize, h: usize, w: usize, spec: ConvS
     assert_eq!(cols.dims(), &[ckk, cols_n], "col2im shape mismatch");
     let src = cols.as_slice();
     let mut out = vec![0.0f32; n * c * h * w];
-    // Batch-parallel: each thread folds a contiguous band of samples. A
-    // sample's plane receives its overlapping-window sums in (ci, ki, kj,
-    // oi, oj) ascending order — the same per-element order as a serial
-    // sweep — so the accumulated floats are bitwise partition-invariant.
+    // Batch-parallel: each thread folds a contiguous band of samples, and
+    // each sample reads its `ckk * oh * ow` column entries. A sample's
+    // plane receives its overlapping-window sums in (ci, ki, kj, oi, oj)
+    // ascending order — the same per-element order as a serial sweep — so
+    // the accumulated floats are bitwise partition-invariant.
     if !out.is_empty() {
         par_chunks_mut(
             &mut out,
             c * h * w,
-            ChunkPolicy::min_chunk(1),
+            ChunkPolicy::elems(ckk * oh * ow),
             |ni0, band| {
                 for (bi, sample) in band.chunks_mut(c * h * w).enumerate() {
                     let ni = ni0 + bi;
@@ -252,19 +257,24 @@ pub fn conv2d_forward(
     let bias_s = bias.as_slice();
     let hw = oh * ow;
     if !out.is_empty() {
-        par_chunks_mut(&mut out, oc * hw, ChunkPolicy::min_chunk(1), |ni0, band| {
-            for (bi, sample) in band.chunks_mut(oc * hw).enumerate() {
-                let ni = ni0 + bi;
-                for o in 0..oc {
-                    let b = bias_s[o];
-                    let src = &flat[o * l + ni * hw..o * l + (ni + 1) * hw];
-                    let dst = &mut sample[o * hw..(o + 1) * hw];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = s + b;
+        par_chunks_mut(
+            &mut out,
+            oc * hw,
+            ChunkPolicy::elems(oc * hw),
+            |ni0, band| {
+                for (bi, sample) in band.chunks_mut(oc * hw).enumerate() {
+                    let ni = ni0 + bi;
+                    for o in 0..oc {
+                        let b = bias_s[o];
+                        let src = &flat[o * l + ni * hw..o * l + (ni + 1) * hw];
+                        let dst = &mut sample[o * hw..(o + 1) * hw];
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d = s + b;
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
     }
     Ok(Conv2dForward {
         output: Tensor::from_vec(out, [n, oc, oh, ow]),
@@ -299,7 +309,7 @@ pub fn conv2d_backward(
     let mut dflat = vec![0.0f32; oc * l];
     let ds = dout.as_slice();
     if !dflat.is_empty() {
-        par_chunks_mut(&mut dflat, l, ChunkPolicy::min_chunk(1), |o0, band| {
+        par_chunks_mut(&mut dflat, l, ChunkPolicy::elems(l), |o0, band| {
             for (bi, dst_row) in band.chunks_mut(l).enumerate() {
                 let o = o0 + bi;
                 for ni in 0..n {
@@ -462,16 +472,35 @@ mod tests {
 
     #[test]
     fn conv_pipeline_bitwise_identical_across_thread_counts() {
+        use crate::ops::blocked::MR;
         use stsl_parallel::with_threads;
         let mut rng = rng_from_seed(23);
         let spec = ConvSpec::same(3);
-        let x = Tensor::randn([5, 3, 7, 7], &mut rng);
-        let w = Tensor::randn([4, 3, 3, 3], &mut rng);
-        let b = Tensor::randn([4], &mut rng);
-        let dout = Tensor::randn([5, 4, 7, 7], &mut rng);
+        // Large enough that every stage splits at 2 threads.
+        let (n, c, side, oc) = (8usize, 8usize, 32usize, 16usize);
+        let (ckk, hw) = (c * 9, side * side);
+        let l = n * hw;
+        let splits = |policy: ChunkPolicy, items: usize| policy.ranges(items, 2).len() >= 2;
+        assert!(splits(ChunkPolicy::elems(l), ckk), "im2col");
+        assert!(
+            splits(ChunkPolicy::macs(ckk * l).tiled(MR), oc),
+            "forward GEMM"
+        );
+        assert!(splits(ChunkPolicy::elems(oc * hw), n), "output reorder");
+        assert!(splits(ChunkPolicy::elems(l), oc), "dflat reorder");
+        assert!(splits(ChunkPolicy::macs(l * ckk).tiled(MR), oc), "dW GEMM");
+        assert!(
+            splits(ChunkPolicy::macs(oc * l).tiled(MR), ckk),
+            "dcols GEMM"
+        );
+        assert!(splits(ChunkPolicy::elems(ckk * hw), n), "col2im");
+        let x = Tensor::randn([n, c, side, side], &mut rng);
+        let w = Tensor::randn([oc, c, 3, 3], &mut rng);
+        let b = Tensor::randn([oc], &mut rng);
+        let dout = Tensor::randn([n, oc, side, side], &mut rng);
         let run = || {
             let fwd = conv2d_forward(&x, &w, &b, spec).unwrap();
-            let grads = conv2d_backward(&dout, &fwd.cols, &w, (5, 3, 7, 7), spec);
+            let grads = conv2d_backward(&dout, &fwd.cols, &w, (n, c, side, side), spec);
             (fwd.output, fwd.cols, grads)
         };
         let (so, sc, sg) = with_threads(1, run);

@@ -11,7 +11,8 @@
 //!   registers; ULP-bounded against the reference, much faster.
 //!
 //! Both paths are row-parallelized with `stsl-parallel` over disjoint
-//! `split_at_mut` slices and keep every element's accumulation order
+//! `split_at_mut` slices, each output row costing `k * n` multiply-adds
+//! toward the work grain, and keep every element's accumulation order
 //! independent of the partition, so within each backend results are
 //! bitwise identical for every `STSL_THREADS` setting.
 
@@ -21,16 +22,6 @@ use stsl_parallel::{par_chunks_mut, ChunkPolicy};
 
 /// Cache-block edge (elements). 64×64 f32 blocks ≈ 16 KiB, comfortably L1.
 const BLOCK: usize = 64;
-
-/// Minimum multiply-adds worth handing to a thread; smaller row blocks are
-/// pure spawn overhead.
-const PAR_GRAIN: usize = 1 << 14;
-
-/// Row-partitioning policy for an output whose rows each cost
-/// `work_per_row` multiply-adds.
-fn row_policy(work_per_row: usize) -> ChunkPolicy {
-    ChunkPolicy::min_chunk((PAR_GRAIN / work_per_row.max(1)).max(1))
-}
 
 /// Computes `C = A · B` for row-major slices: `a` is `m×k`, `b` is `k×n`,
 /// and the result is `m×n`.
@@ -62,7 +53,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     }
     match Backend::active() {
         Backend::Reference => {
-            par_chunks_mut(c, n, row_policy(k * n), |row0, chunk| {
+            par_chunks_mut(c, n, ChunkPolicy::macs(k * n), |row0, chunk| {
                 gemm_rows(a, b, chunk, row0, k, n, alpha);
             });
         }
@@ -126,7 +117,7 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
     // Output rows are partitioned across threads; per element the k terms
     // still accumulate in ascending-kk order (A is read strided instead of
     // transposed), so this matches the serial result bit for bit.
-    par_chunks_mut(&mut c, n, row_policy(k * n), |row0, chunk| {
+    par_chunks_mut(&mut c, n, ChunkPolicy::macs(k * n), |row0, chunk| {
         let rows = chunk.len() / n;
         for i in 0..rows {
             let crow = &mut chunk[i * n..(i + 1) * n];
@@ -160,7 +151,7 @@ pub fn gemm_a_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
     if Backend::active() == Backend::Blocked {
         return blocked::gemm_a_bt(a, b, m, k, n);
     }
-    par_chunks_mut(&mut c, n, row_policy(k * n), |row0, chunk| {
+    par_chunks_mut(&mut c, n, ChunkPolicy::macs(k * n), |row0, chunk| {
         let rows = chunk.len() / n;
         for i in 0..rows {
             let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
@@ -348,37 +339,36 @@ mod tests {
 
     #[test]
     fn kernels_bitwise_identical_across_thread_counts() {
-        use stsl_parallel::with_threads;
+        use stsl_parallel::{with_threads, MIN_BLOCK_MACS};
         let mut rng = rng_from_seed(21);
-        // Awkward sizes: straddle the cache-block edge and split unevenly
-        // across 4 threads so band boundaries land mid-block.
-        let (m, k, n) = (67, 33, 41);
+        // Awkward sizes: straddle the cache-block edge, and carry just over
+        // two grains of work so the row bands split at 2 threads with the
+        // boundary landing mid-block.
+        let (m, k, n) = (131, 129, 127);
+        assert!(m * k * n >= 2 * MIN_BLOCK_MACS);
+        assert!(ChunkPolicy::macs(k * n).ranges(m, 2).len() >= 2);
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
         let bt = Tensor::randn([n, k], &mut rng);
         let at = Tensor::randn([k, m], &mut rng);
+        // The row-partitioned kernels here are the reference backend's.
+        let reference = |threads: usize| {
+            crate::with_backend(Backend::Reference, || {
+                with_threads(threads, || {
+                    (
+                        gemm(a.as_slice(), b.as_slice(), m, k, n),
+                        gemm_at_b(at.as_slice(), b.as_slice(), m, k, n),
+                        gemm_a_bt(a.as_slice(), bt.as_slice(), m, k, n),
+                    )
+                })
+            })
+        };
+        let serial = reference(1);
         for threads in [2usize, 4, 7] {
-            // gemm_rows is the reference kernel, so pin the reference
-            // backend for the public-API side of the comparison.
-            let serial = crate::with_backend(Backend::Reference, || {
-                with_threads(1, || gemm(a.as_slice(), b.as_slice(), m, k, n))
-            });
-            // min_chunk 1 forces actual multi-thread partitioning even on
-            // sizes below the work grain.
-            let par = with_threads(threads, || {
-                let mut c = vec![0.0f32; m * n];
-                par_chunks_mut(&mut c, n, ChunkPolicy::min_chunk(1), |row0, chunk| {
-                    gemm_rows(a.as_slice(), b.as_slice(), chunk, row0, k, n, 1.0);
-                });
-                c
-            });
-            assert_eq!(serial, par, "gemm drifted at {} threads", threads);
-            let s_atb = with_threads(1, || gemm_at_b(at.as_slice(), b.as_slice(), m, k, n));
-            let p_atb = with_threads(threads, || gemm_at_b(at.as_slice(), b.as_slice(), m, k, n));
-            assert_eq!(s_atb, p_atb, "gemm_at_b drifted at {} threads", threads);
-            let s_abt = with_threads(1, || gemm_a_bt(a.as_slice(), bt.as_slice(), m, k, n));
-            let p_abt = with_threads(threads, || gemm_a_bt(a.as_slice(), bt.as_slice(), m, k, n));
-            assert_eq!(s_abt, p_abt, "gemm_a_bt drifted at {} threads", threads);
+            let par = reference(threads);
+            assert_eq!(serial.0, par.0, "gemm drifted at {threads} threads");
+            assert_eq!(serial.1, par.1, "gemm_at_b drifted at {threads} threads");
+            assert_eq!(serial.2, par.2, "gemm_a_bt drifted at {threads} threads");
         }
     }
 

@@ -11,9 +11,6 @@ use crate::ops::blocked;
 use crate::{Backend, Shape, Tensor};
 use stsl_parallel::{par_chunks_mut, ChunkPolicy};
 
-/// Minimum row elements worth handing a softmax row band to a thread.
-const SOFTMAX_GRAIN: usize = 1 << 12;
-
 /// Order-pinned left-fold sum of an `f32` stream.
 ///
 /// This module is the sanctioned seam for non-associative float
@@ -64,7 +61,7 @@ fn sum_blocked(xs: &[f32]) -> f32 {
         return blocked::sum_lanes(xs);
     }
     let blocks = xs.len().div_ceil(SUM_BLOCK);
-    let partials = stsl_parallel::par_map_indexed(blocks, ChunkPolicy::min_chunk(4), |bi| {
+    let partials = stsl_parallel::par_map_indexed(blocks, ChunkPolicy::elems(SUM_BLOCK), |bi| {
         let start = bi * SUM_BLOCK;
         blocked::sum_lanes(&xs[start..(start + SUM_BLOCK).min(xs.len())])
     });
@@ -252,8 +249,7 @@ impl Tensor {
                 // differs (lane partial sums), so outputs are ULP-bounded
                 // against the reference.
                 if n > 0 && c > 0 {
-                    let policy = ChunkPolicy::min_chunk((SOFTMAX_GRAIN / c).max(1));
-                    par_chunks_mut(&mut out, c, policy, |r0, band| {
+                    par_chunks_mut(&mut out, c, ChunkPolicy::elems(c), |r0, band| {
                         for (ri, orow) in band.chunks_mut(c).enumerate() {
                             let row = &src[(r0 + ri) * c..(r0 + ri + 1) * c];
                             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -303,8 +299,7 @@ impl Tensor {
                 // Same structure as the blocked softmax: rows are
                 // independent units, the denominator sum is lane-ordered.
                 if n > 0 && c > 0 {
-                    let policy = ChunkPolicy::min_chunk((SOFTMAX_GRAIN / c).max(1));
-                    par_chunks_mut(&mut out, c, policy, |r0, band| {
+                    par_chunks_mut(&mut out, c, ChunkPolicy::elems(c), |r0, band| {
                         for (ri, orow) in band.chunks_mut(c).enumerate() {
                             let row = &src[(r0 + ri) * c..(r0 + ri + 1) * c];
                             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

@@ -22,7 +22,7 @@
 //! proves the same thing no matter what CI sets them to.
 
 use spatio_temporal_split_learning::data::SyntheticCifar;
-use spatio_temporal_split_learning::parallel;
+use spatio_temporal_split_learning::parallel::{self, ChunkPolicy};
 use spatio_temporal_split_learning::simnet::StarTopology;
 use spatio_temporal_split_learning::split::{
     AsyncSplitTrainer, ComputeModel, CutPoint, SchedulingPolicy, SpatioTemporalTrainer, SplitConfig,
@@ -71,9 +71,41 @@ fn assert_equal_across_threads<R: PartialEq + std::fmt::Debug>(
     out.expect("at least one backend")
 }
 
+/// Height and width of the blocked GEMM's register microtile
+/// (`MR`×`NR` in `ops/blocked.rs`): its bands split on `MR`-row tile edges
+/// and it packs `B` in `NR`-wide strips.
+const MR: usize = 4;
+const NR: usize = 8;
+
+/// Whether `policy` hands `items` to at least two blocks at 2 threads —
+/// a test that never splits would pass without testing anything.
+fn splits(policy: ChunkPolicy, items: usize) -> bool {
+    policy.ranges(items, 2).len() >= 2
+}
+
+/// Asserts an `m×k×n` GEMM splits on both backends: the reference row
+/// bands, the blocked tile-aligned bands and the blocked `B` packing.
+fn assert_gemm_splits(label: &str, m: usize, k: usize, n: usize) {
+    assert!(
+        splits(ChunkPolicy::macs(k * n), m),
+        "{label}: reference rows"
+    );
+    assert!(
+        splits(ChunkPolicy::macs(k * n).tiled(MR), m),
+        "{label}: bands"
+    );
+    assert!(
+        splits(ChunkPolicy::elems(k * NR), n.div_ceil(NR)),
+        "{label}: B packing"
+    );
+}
+
 #[test]
 fn gemm_kernels_bitwise_identical() {
-    let (m, k, n) = (33, 29, 41);
+    // Sized from the work grains: every kernel below splits at 2 threads.
+    let (m, k, n) = (37, 129, 1031);
+    assert!(m * k * n >= 4 * parallel::MIN_BLOCK_MACS);
+    assert_gemm_splits("gemm", m, k, n);
     let mut rng = rng_from_seed(100);
     let a: Vec<f32> = Tensor::randn([m, k], &mut rng).as_slice().to_vec();
     let b: Vec<f32> = Tensor::randn([k, n], &mut rng).as_slice().to_vec();
@@ -87,16 +119,28 @@ fn gemm_kernels_bitwise_identical() {
 
 #[test]
 fn conv_pipeline_bitwise_identical() {
+    // Sized from the work grains: every stage splits at 2 threads.
+    let (n, c, side, oc) = (8, 8, 32, 16);
+    let (ckk, hw) = (c * 9, side * side);
+    let l = n * hw;
+    assert!(splits(ChunkPolicy::elems(l), ckk), "im2col");
+    assert_gemm_splits("forward", oc, ckk, l);
+    assert!(splits(ChunkPolicy::elems(oc * hw), n), "output reorder");
+    assert!(splits(ChunkPolicy::elems(l), oc), "dflat reorder");
+    assert_gemm_splits("dW", oc, l, ckk);
+    assert_gemm_splits("dcols", ckk, oc, l);
+    assert!(splits(ChunkPolicy::elems(ckk * hw), n), "col2im");
+
     let mut rng = rng_from_seed(101);
-    let x = Tensor::randn([4, 3, 9, 9], &mut rng);
-    let w = Tensor::randn([5, 3, 3, 3], &mut rng);
-    let bias = Tensor::randn([5], &mut rng);
+    let x = Tensor::randn([n, c, side, side], &mut rng);
+    let w = Tensor::randn([oc, c, 3, 3], &mut rng);
+    let bias = Tensor::randn([oc], &mut rng);
     let spec = ConvSpec::same(3);
-    let dout = Tensor::randn([4, 5, 9, 9], &mut rng);
+    let dout = Tensor::randn([n, oc, side, side], &mut rng);
 
     assert_equal_across_threads("conv2d fwd+bwd", || {
         let fwd = conv2d_forward(&x, &w, &bias, spec).unwrap();
-        let grads = conv2d_backward(&dout, &fwd.cols, &w, (4, 3, 9, 9), spec);
+        let grads = conv2d_backward(&dout, &fwd.cols, &w, (n, c, side, side), spec);
         (
             fwd.output,
             fwd.cols,
