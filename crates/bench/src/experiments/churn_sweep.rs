@@ -1,6 +1,6 @@
 //! **E13** — churn-resilient membership and server overload control.
 //!
-//! Two experiments in one binary, both written into `results/churn.json`:
+//! Two experiments in one run, both written into `results/churn.json`:
 //!
 //! 1. **Churn sweep** — a fleet of founding members plus pre-declared
 //!    dormant joiners runs a seeded churn arrival process
@@ -17,21 +17,19 @@
 //!    wait.
 //!
 //! Every value derives from simulated time, so the file is bitwise
-//! identical for any `STSL_THREADS` (CI diffs the bytes across thread
-//! counts); the results envelope therefore omits the thread count.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin churn_sweep
-//! cargo run -p stsl-bench --release --bin churn_sweep -- --quick
-//! ```
+//! identical for any `STSL_THREADS`.
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
 use stsl_simnet::{FaultPlan, Link, SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, DeadlineConfig, OverloadConfig,
     SchedulingPolicy, SplitConfig,
 };
+
+const MEMBERS: usize = 6;
+const JOINERS: usize = 2;
 
 #[derive(Serialize)]
 struct ChurnRow {
@@ -81,27 +79,24 @@ struct ChurnSweep {
     overload: Vec<OverloadRow>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_churn(
     turnover: f64,
     shed: bool,
-    members: usize,
-    joiners: usize,
     horizon_ms: u64,
     epochs: usize,
     seed: u64,
     train: &stsl_data::ImageDataset,
     test: &stsl_data::ImageDataset,
 ) -> ChurnRow {
-    let fleet = members + joiners;
+    let fleet = MEMBERS + JOINERS;
     let topology = StarTopology::new(
         (0..fleet)
             .map(|i| Link::wan(3.0 + 2.0 * i as f64, 100.0))
             .collect(),
     );
     let plan = FaultPlan::churn(
-        members,
-        joiners,
+        MEMBERS,
+        JOINERS,
         SimDuration::from_millis(horizon_ms),
         seed ^ 0xC4A2,
         turnover,
@@ -146,7 +141,6 @@ fn run_churn(
 
 fn run_overload(
     shed: bool,
-    clients: usize,
     epochs: usize,
     seed: u64,
     train: &stsl_data::ImageDataset,
@@ -154,7 +148,7 @@ fn run_overload(
 ) -> OverloadRow {
     // Staggered arrivals plus a server an order of magnitude slower than
     // the clients: the ingress queue is the bottleneck by construction.
-    let topology = StarTopology::latency_gradient(clients, 1.0, 60.0, 100.0);
+    let topology = StarTopology::latency_gradient(MEMBERS, 1.0, 60.0, 100.0);
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(2),
         server_batch: SimDuration::from_millis(40),
@@ -164,7 +158,7 @@ fn run_overload(
         queue_capacity: 2,
         ..OverloadConfig::default()
     };
-    let cfg = SplitConfig::new(CutPoint(1), clients)
+    let cfg = SplitConfig::new(CutPoint(1), MEMBERS)
         .arch(CnnArch::tiny())
         .epochs(epochs)
         .batch_size(8)
@@ -194,47 +188,28 @@ fn run_overload(
     }
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let members = args.get_usize("members", 6);
-    let joiners = args.get_usize("joiners", 2);
-    let seed = args.get_u64("seed", 43);
-    let epochs = args.get_usize("epochs", if quick { 2 } else { 4 });
-    let train_n = args.get_usize("samples", if quick { 240 } else { 640 });
-    let horizon_ms = args.get_u64("horizon-ms", if quick { 400 } else { 1600 });
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let epochs = if quick { 2 } else { 4 };
+    let train_n = if quick { 240 } else { 640 };
+    let horizon_ms = if quick { 400 } else { 1600 };
     let turnovers: Vec<f64> = if quick {
         vec![0.0, 0.2]
     } else {
         vec![0.0, 0.2, 0.5]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 160, 16, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 160, 16, seed, 0.12);
+    let header = format!(
         "E13 churn sweep — {} data, {} founding members + {} joiners, epochs {}, churn horizon {} ms",
-        source, members, joiners, epochs, horizon_ms
+        source, MEMBERS, JOINERS, epochs, horizon_ms
     );
 
     let mut rows = Vec::new();
     let mut baseline_accuracy = 0.0f32;
     for &turnover in &turnovers {
         for shed in [true, false] {
-            let row = run_churn(
-                turnover, shed, members, joiners, horizon_ms, epochs, seed, &train, &test,
-            );
-            println!(
-                "  turnover {:>4.0}%  shed {:>3}  joined {}  departed {}  rejoined {}  shed_batches {:>3}  restores {:>2}  lost {:>3}  acc {:.1}%",
-                turnover * 100.0,
-                if shed { "on" } else { "off" },
-                row.clients_joined,
-                row.clients_departed,
-                row.rejoins,
-                row.batches_shed,
-                row.checkpoint_restores,
-                row.batches_lost,
-                row.accuracy * 100.0
-            );
+            let row = run_churn(turnover, shed, horizon_ms, epochs, seed, &train, &test);
             if turnover == 0.0 && shed {
                 baseline_accuracy = row.accuracy;
             }
@@ -242,68 +217,56 @@ fn main() {
         }
     }
 
-    println!("\noverload stress — slow server, bounded ingress on/off");
-    let mut overload_rows = Vec::new();
-    for shed in [true, false] {
-        let row = run_overload(shed, members, epochs.min(2), seed, &train, &test);
-        println!(
-            "  shed {:>3}  cap {}  max depth {}  shed_batches {:>3}  served {:>3}  acc {:.1}%",
-            if shed { "on" } else { "off" },
-            row.queue_capacity,
-            row.max_queue_depth,
-            row.batches_shed,
-            row.served_total,
-            row.accuracy * 100.0
-        );
-        overload_rows.push(row);
-    }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}%", r.turnover * 100.0),
-                (if r.shed { "on" } else { "off" }).to_string(),
-                format!("{}", r.clients_joined),
-                format!("{}", r.clients_departed),
-                format!("{}", r.rejoins),
-                format!("{}", r.batches_shed),
-                format!("{}", r.deadline_partial_applies),
-                format!("{}", r.batches_lost),
-                format!("{:+.1}", (r.accuracy - baseline_accuracy) * 100.0),
-                format!("{:.1}%", r.accuracy * 100.0),
-            ]
-        })
+    let overload: Vec<OverloadRow> = [true, false]
+        .into_iter()
+        .map(|shed| run_overload(shed, epochs.min(2), seed, &train, &test))
         .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "turnover",
-                "shed",
-                "joined",
-                "departed",
-                "rejoined",
-                "shed batches",
-                "partial applies",
-                "lost",
-                "Δacc (pts)",
-                "accuracy"
-            ],
-            &table
-        )
+
+    let on_off = |on: bool| (if on { "on" } else { "off" }).to_string();
+    let table = render_table(
+        &rows,
+        &[
+            ("turnover", &|r| format!("{:.0}%", r.turnover * 100.0)),
+            ("shed", &|r| on_off(r.shed)),
+            ("joined", &|r| r.clients_joined.to_string()),
+            ("departed", &|r| r.clients_departed.to_string()),
+            ("rejoined", &|r| r.rejoins.to_string()),
+            ("shed batches", &|r| r.batches_shed.to_string()),
+            ("partial applies", &|r| {
+                r.deadline_partial_applies.to_string()
+            }),
+            ("lost", &|r| r.batches_lost.to_string()),
+            ("Δacc (pts)", &|r| {
+                format!("{:+.1}", (r.accuracy - baseline_accuracy) * 100.0)
+            }),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+        ],
+    );
+    let overload_table = render_table(
+        &overload,
+        &[
+            ("shed", &|r| on_off(r.shed)),
+            ("cap", &|r| r.queue_capacity.to_string()),
+            ("max depth", &|r| r.max_queue_depth.to_string()),
+            ("shed batches", &|r| r.batches_shed.to_string()),
+            ("served", &|r| r.served_total.to_string()),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+        ],
     );
 
-    let sweep = ChurnSweep {
-        data_source: source.to_string(),
-        founding_members: members,
-        joiners,
-        turnovers,
-        horizon_ms,
-        baseline_accuracy,
-        rows,
-        overload: overload_rows,
-    };
-    let data_json = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
-    write_results_deterministic("churn", "churn_sweep", seed, &data_json);
+    Outcome::new(
+        format!(
+            "{header}\n\n{table}\noverload stress — slow server, bounded ingress on/off\n\n{overload_table}"
+        ),
+        &ChurnSweep {
+            data_source: source.to_string(),
+            founding_members: MEMBERS,
+            joiners: JOINERS,
+            turnovers,
+            horizon_ms,
+            baseline_accuracy,
+            rows,
+            overload,
+        },
+    )
 }

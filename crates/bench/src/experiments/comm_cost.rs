@@ -5,15 +5,13 @@
 //! (or FedAvg round): raw-image upload (the centralized strawman), smashed
 //! activations at each cut depth (split learning; shrinks as pooling
 //! deepens), and full-model weights twice per round (FedAvg).
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin comm_cost
-//! cargo run -p stsl-bench --release --bin comm_cost -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_split::{baselines::FedAvgTrainer, CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig};
+
+const CLIENTS: usize = 4;
 
 #[derive(Serialize)]
 struct Row {
@@ -32,25 +30,20 @@ struct CommCost {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (arch, side, train_n) = if quick {
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let (arch, side, train_n) = if preset == Preset::Quick {
         (CnnArch::tiny(), 16, 200)
     } else {
-        (CnnArch::paper(), 32, args.get_usize("samples", 1_000))
+        (CnnArch::paper(), 32, 1_000)
     };
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 17);
-    let max_cut = args.get_usize("max-cut", (arch.blocks() - 1).min(4)).max(1);
+    let max_cut = (arch.blocks() - 1).clamp(1, 4);
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 50, side, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 50, side, seed, 0.12);
+    let header = format!(
         "E6 communication cost — {} data, {} samples, {} end-systems (1 epoch / 1 round each)",
         source,
         train.len(),
-        clients
+        CLIENTS
     );
 
     let mut rows = Vec::new();
@@ -67,9 +60,9 @@ fn main() {
         raw_data_leaves_site: true,
     });
 
-    // Split learning at each cut.
+    // Split learning at each cut; byte accounting needs no evaluation.
     for cut in 1..=max_cut {
-        let cfg = SplitConfig::new(CutPoint(cut), clients)
+        let cfg = SplitConfig::new(CutPoint(cut), CLIENTS)
             .arch(arch.clone())
             .epochs(1)
             .seed(seed);
@@ -83,17 +76,16 @@ fn main() {
             total_mb_per_epoch: comm.total_bytes() as f64 / 1e6,
             raw_data_leaves_site: false,
         });
-        let _ = test; // evaluation not needed for byte accounting
     }
 
     // FedAvg: one round, one local epoch.
-    let cfg = SplitConfig::new(CutPoint(0), clients)
+    let cfg = SplitConfig::new(CutPoint(0), CLIENTS)
         .arch(arch.clone())
         .epochs(1)
         .seed(seed);
     let mut fed = FedAvgTrainer::new(cfg, &train, 1).expect("valid config");
     fed.train(1, &test);
-    let fed_up = 0.0f64.max(clients as f64 * fed.model_bytes() as f64 / 1e6);
+    let fed_up = 0.0f64.max(CLIENTS as f64 * fed.model_bytes() as f64 / 1e6);
     rows.push(Row {
         scheme: "fedavg (1 round, E=1)".into(),
         uplink_mb_per_epoch: fed_up,
@@ -102,45 +94,31 @@ fn main() {
         raw_data_leaves_site: false,
     });
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scheme.clone(),
-                format!("{:.2}", r.uplink_mb_per_epoch),
-                format!("{:.2}", r.downlink_mb_per_epoch),
-                format!("{:.2}", r.total_mb_per_epoch),
-                if r.raw_data_leaves_site {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "scheme",
-                "uplink MB/epoch",
-                "downlink MB/epoch",
-                "total MB/epoch",
-                "raw data leaves?"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("scheme", &|r| r.scheme.clone()),
+            ("uplink MB/epoch", &|r| {
+                format!("{:.2}", r.uplink_mb_per_epoch)
+            }),
+            ("downlink MB/epoch", &|r| {
+                format!("{:.2}", r.downlink_mb_per_epoch)
+            }),
+            ("total MB/epoch", &|r| {
+                format!("{:.2}", r.total_mb_per_epoch)
+            }),
+            ("raw data leaves?", &|r| {
+                (if r.raw_data_leaves_site { "yes" } else { "no" }).to_string()
+            }),
+        ],
     );
-
-    write_results(
-        "comm",
-        "comm_cost",
-        seed,
+    Outcome::new(
+        format!("{header}\n\n{table}"),
         &CommCost {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             samples: train.len(),
             rows,
         },
-    );
+    )
 }

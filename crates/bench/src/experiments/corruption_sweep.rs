@@ -7,19 +7,17 @@
 //! frames are caught by CRC and retransmitted, so accuracy stays within a
 //! couple of points of the fault-free run; without it, frames that still
 //! parse are silently applied and training degrades or diverges.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin corruption_sweep
-//! cargo run -p stsl-bench --release --bin corruption_sweep -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{FaultPlan, Link, SimDuration, SimTime, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, GuardConfig, RetryPolicy, SchedulingPolicy,
     SplitConfig,
 };
+
+const CLIENTS: usize = 4;
 
 #[derive(Serialize)]
 struct Row {
@@ -53,14 +51,13 @@ struct CorruptionSweep {
 fn run_one(
     rate: f64,
     guard: bool,
-    clients: usize,
     epochs: usize,
     seed: u64,
     train: &stsl_data::ImageDataset,
     test: &stsl_data::ImageDataset,
 ) -> Row {
     let topology = StarTopology::new(
-        (0..clients)
+        (0..CLIENTS)
             .map(|i| Link::wan(5.0 + 10.0 * i as f64, 100.0))
             .collect(),
     );
@@ -68,13 +65,13 @@ fn run_one(
     if rate > 0.0 {
         // Corruption active over the whole run.
         plan = plan.payload_corruption_all(
-            clients,
+            CLIENTS,
             rate,
             SimTime::ZERO,
             SimTime::from_micros(u64::MAX),
         );
     }
-    let cfg = SplitConfig::new(CutPoint(1), clients)
+    let cfg = SplitConfig::new(CutPoint(1), CLIENTS)
         .arch(CnnArch::tiny())
         .epochs(epochs)
         .batch_size(16)
@@ -112,43 +109,27 @@ fn run_one(
     }
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 47);
-    let epochs = args.get_usize("epochs", if quick { 2 } else { 4 });
-    let train_n = args.get_usize("samples", if quick { 160 } else { 640 });
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let epochs = if quick { 2 } else { 4 };
+    let train_n = if quick { 160 } else { 640 };
     let rates: Vec<f64> = if quick {
         vec![0.0, 0.05]
     } else {
         vec![0.0, 0.01, 0.05, 0.15]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 160, 16, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 160, 16, seed, 0.12);
+    let header = format!(
         "E11 corruption sweep — {} data, {} end-systems, epochs {}",
-        source, clients, epochs
+        source, CLIENTS, epochs
     );
 
     let mut rows = Vec::new();
     let mut clean_accuracy = 0.0f32;
     for &rate in &rates {
         for guard in [true, false] {
-            let row = run_one(rate, guard, clients, epochs, seed, &train, &test);
-            println!(
-                "  rate {:>5.2}%  guard {:>3}  corrupted {:>4} (rejected {:>4})  anomalies {:>3}  quarantines {}  rollbacks {}  lost {:>3}  acc {:.1}%",
-                rate * 100.0,
-                if guard { "on" } else { "off" },
-                row.corrupted_payloads,
-                row.corrupted_rejected,
-                row.anomalies_rejected,
-                row.quarantines,
-                row.rollbacks,
-                row.batches_lost,
-                row.accuracy * 100.0
-            );
+            let row = run_one(rate, guard, epochs, seed, &train, &test);
             if rate == 0.0 && guard {
                 clean_accuracy = row.accuracy;
             }
@@ -156,50 +137,34 @@ fn main() {
         }
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.2}%", r.corruption_rate * 100.0),
-                (if r.guard { "on" } else { "off" }).to_string(),
-                format!("{}", r.corrupted_payloads),
-                format!("{}", r.corrupted_rejected),
-                format!("{}", r.anomalies_rejected),
-                format!("{}", r.rollbacks),
-                format!("{}", r.batches_lost),
-                format!("{:+.1}", (r.accuracy - clean_accuracy) * 100.0),
-                format!("{:.1}%", r.accuracy * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "corruption",
-                "guard",
-                "corrupted",
-                "rejected",
-                "anomalies",
-                "rollbacks",
-                "lost",
-                "Δacc (pts)",
-                "accuracy"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("corruption", &|r| {
+                format!("{:.2}%", r.corruption_rate * 100.0)
+            }),
+            ("guard", &|r| {
+                (if r.guard { "on" } else { "off" }).to_string()
+            }),
+            ("corrupted", &|r| r.corrupted_payloads.to_string()),
+            ("rejected", &|r| r.corrupted_rejected.to_string()),
+            ("anomalies", &|r| r.anomalies_rejected.to_string()),
+            ("rollbacks", &|r| r.rollbacks.to_string()),
+            ("lost", &|r| r.batches_lost.to_string()),
+            ("Δacc (pts)", &|r| {
+                format!("{:+.1}", (r.accuracy - clean_accuracy) * 100.0)
+            }),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+        ],
     );
-
-    write_results(
-        "guard",
-        "corruption_sweep",
-        seed,
+    Outcome::new(
+        format!("{header}\n\n{table}"),
         &CorruptionSweep {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             rates,
             clean_accuracy,
             rows,
         },
-    );
+    )
 }

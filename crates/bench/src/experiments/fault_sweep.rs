@@ -6,18 +6,20 @@
 //! retransmission, liveness tracking and auto-checkpointing enabled, and
 //! reports the robustness counters: retransmits, batches lost, downtime,
 //! crash/recovery/checkpoint events and final accuracy.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin fault_sweep
-//! cargo run -p stsl-bench --release --bin fault_sweep -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{FaultPlan, Link, SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy, SplitConfig,
 };
+
+const CLIENTS: usize = 4;
+/// Baseline per-link loss, an `f32` widened to `f64` at use: the
+/// widened value (0.05000000074505806) is what `results/fault.json`
+/// records.
+const BASE_LOSS: f32 = 0.05;
 
 #[derive(Serialize)]
 struct Row {
@@ -46,26 +48,22 @@ struct FaultSweep {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 33);
-    let epochs = args.get_usize("epochs", if quick { 1 } else { 3 });
-    let train_n = args.get_usize("samples", if quick { 160 } else { 640 });
-    let base_loss = args.get_f32("loss", 0.05) as f64;
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let epochs = if quick { 1 } else { 3 };
+    let train_n = if quick { 160 } else { 640 };
+    let base_loss = BASE_LOSS as f64;
     let intensities: Vec<f64> = if quick {
         vec![0.0, 0.5, 1.0]
     } else {
         vec![0.0, 0.25, 0.5, 0.75, 1.0]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 160, 16, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 160, 16, seed, 0.12);
+    let header = format!(
         "E10 fault-tolerance sweep — {} data, {} end-systems, {:.0}% base loss, epochs {}",
         source,
-        clients,
+        CLIENTS,
         base_loss * 100.0,
         epochs
     );
@@ -73,7 +71,7 @@ fn main() {
     // Heterogeneous links with a lossy baseline, so retransmission is
     // exercised even at intensity 0.
     let topology = StarTopology::new(
-        (0..clients)
+        (0..CLIENTS)
             .map(|i| Link::wan(5.0 + 20.0 * i as f64, 100.0).loss(base_loss))
             .collect(),
     );
@@ -85,8 +83,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for &intensity in &intensities {
-        let plan = FaultPlan::random(clients, horizon, seed ^ 0xFA17, intensity);
-        let cfg = SplitConfig::new(CutPoint(1), clients)
+        let plan = FaultPlan::random(CLIENTS, horizon, seed ^ 0xFA17, intensity);
+        let cfg = SplitConfig::new(CutPoint(1), CLIENTS)
             .arch(CnnArch::tiny())
             .epochs(epochs)
             .batch_size(16)
@@ -104,20 +102,6 @@ fn main() {
         .with_auto_checkpoint(SimDuration::from_millis(200))
         .with_liveness_timeout(SimDuration::from_millis(1_000));
         let r = trainer.run(&test);
-        println!(
-            "  intensity {:.2}  episodes {:>2}  drops {:>4}  retransmits {:>4}  lost {:>3}  crashes {}/{}  ckpt {}/{}  downtime {:>7.0} ms  acc {:.1}%",
-            intensity,
-            plan.len(),
-            r.network_drops,
-            r.retransmits,
-            r.batches_lost,
-            r.crash_events,
-            r.recovery_events,
-            r.checkpoint_saves,
-            r.checkpoint_restores,
-            r.downtime_ms_per_client.iter().sum::<f64>(),
-            r.final_accuracy * 100.0
-        );
         rows.push(Row {
             intensity,
             fault_episodes: plan.len(),
@@ -137,47 +121,28 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.2}", r.intensity),
-                format!("{}", r.fault_episodes),
-                format!("{}", r.network_drops),
-                format!("{}", r.retransmits),
-                format!("{}", r.batches_lost),
-                format!("{}/{}", r.crash_events, r.recovery_events),
-                format!("{:.0}", r.total_downtime_ms),
-                format!("{:.1}%", r.accuracy * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "intensity",
-                "episodes",
-                "drops",
-                "retransmits",
-                "lost",
-                "crash/recover",
-                "downtime (ms)",
-                "accuracy"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("intensity", &|r| format!("{:.2}", r.intensity)),
+            ("episodes", &|r| r.fault_episodes.to_string()),
+            ("drops", &|r| r.network_drops.to_string()),
+            ("retransmits", &|r| r.retransmits.to_string()),
+            ("lost", &|r| r.batches_lost.to_string()),
+            ("crash/recover", &|r| {
+                format!("{}/{}", r.crash_events, r.recovery_events)
+            }),
+            ("downtime (ms)", &|r| format!("{:.0}", r.total_downtime_ms)),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+        ],
     );
-
-    write_results(
-        "fault",
-        "fault_sweep",
-        seed,
+    Outcome::new(
+        format!("{header}\n\n{table}"),
         &FaultSweep {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             base_loss,
             rows,
         },
-    );
+    )
 }

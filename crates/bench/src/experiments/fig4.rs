@@ -6,14 +6,10 @@
 //! `L_1` — still recognizable — and (c) the activation after the full
 //! `L_1` block (conv + max-pool), which hides the original. PPM files and
 //! per-stage structural-similarity numbers are written to `results/`.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin fig4
-//! cargo run -p stsl-bench --release --bin fig4 -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, results_dir, write_results, Args};
 use stsl_privacy::visualize::{capture_stages, fig4_triptych, stage_similarity};
 use stsl_split::{CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig};
 
@@ -34,24 +30,17 @@ struct Fig4 {
     mean_pool_similarity: f32,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
     let (arch, side, train_n, epochs) = if quick {
         (CnnArch::tiny(), 16, 200, 1)
     } else {
-        (
-            CnnArch::paper(),
-            32,
-            args.get_usize("samples", 1_000),
-            args.get_usize("epochs", 2),
-        )
+        (CnnArch::paper(), 32, 1_000, 2)
     };
-    let seed = args.get_u64("seed", 7);
-    let difficulty = args.get_f32("difficulty", if quick { 0.12 } else { 0.2 });
+    let difficulty = if quick { 0.12 } else { 0.2 };
     let (train, test, source) = load_data(train_n, 100, side, seed, difficulty);
-    println!(
-        "Fig. 4 reproduction — {} data, training L1 for {} epoch(s)…",
+    let header = format!(
+        "Fig. 4 reproduction — {} data, L1 trained for {} epoch(s)",
         source, epochs
     );
 
@@ -64,8 +53,8 @@ fn main() {
     let mut trainer = SpatioTemporalTrainer::new(cfg, &train).expect("valid config");
     trainer.train(&test);
 
-    let out_dir = results_dir();
     let mut per_class = Vec::new();
+    let mut files = Vec::new();
     let classes = train.num_classes();
     for class in 0..classes {
         // First test image of this class.
@@ -78,9 +67,12 @@ fn main() {
         let stages = capture_stages(model, &image);
         let conv_sim = stage_similarity(&image, &stages[1].activation);
         let pool_sim = stage_similarity(&image, &stages[3].activation);
-        let trip = fig4_triptych(model, &image, 4);
+        let mut ppm = Vec::new();
+        fig4_triptych(model, &image, 4)
+            .write_ppm(&mut ppm)
+            .expect("write ppm to memory");
         let name = format!("fig4_class{}.ppm", class);
-        trip.save_ppm(out_dir.join(&name)).expect("write ppm");
+        files.push((name.clone(), ppm));
         per_class.push(ClassCapture {
             class,
             original_vs_conv: conv_sim,
@@ -94,43 +86,30 @@ fn main() {
     let mean_pool =
         per_class.iter().map(|c| c.original_vs_pooled).sum::<f32>() / per_class.len().max(1) as f32;
 
-    let rows: Vec<Vec<String>> = per_class
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{}", c.class),
-                format!("{:.3}", c.original_vs_conv),
-                format!("{:.3}", c.original_vs_pooled),
-                c.ppm.clone(),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "class",
-                "sim(orig, conv L1)",
-                "sim(orig, L1 pooled)",
-                "triptych"
-            ],
-            &rows
-        )
+    let table = render_table(
+        &per_class,
+        &[
+            ("class", &|c| c.class.to_string()),
+            ("sim(orig, conv L1)", &|c| {
+                format!("{:.3}", c.original_vs_conv)
+            }),
+            ("sim(orig, L1 pooled)", &|c| {
+                format!("{:.3}", c.original_vs_pooled)
+            }),
+            ("triptych", &|c| c.ppm.clone()),
+        ],
     );
-    println!(
-        "mean structural similarity: conv stage {:.3} (recognizable) vs pooled stage {:.3} (hidden)",
-        mean_conv, mean_pool
-    );
-    if mean_conv > mean_pool {
-        println!("=> matches the paper: max-pooling is what hides the original image");
+    let verdict = if mean_conv > mean_pool {
+        "=> matches the paper: max-pooling is what hides the original image"
     } else {
-        println!("WARNING: pooled stage unexpectedly more similar than conv stage");
-    }
-
-    write_results(
-        "fig4",
-        "fig4",
-        seed,
+        "WARNING: pooled stage unexpectedly more similar than conv stage"
+    };
+    let mut outcome = Outcome::new(
+        format!(
+            "{header}\n\n{table}mean structural similarity: conv stage {:.3} (recognizable) \
+             vs pooled stage {:.3} (hidden)\n{verdict}\n",
+            mean_conv, mean_pool
+        ),
         &Fig4 {
             data_source: source.to_string(),
             trained_epochs: epochs,
@@ -139,4 +118,6 @@ fn main() {
             mean_pool_similarity: mean_pool,
         },
     );
+    outcome.files = files;
+    outcome
 }

@@ -7,14 +7,10 @@
 //! PSNR / SSIM / distance correlation of the reconstructions. Leakage
 //! falls as the cut deepens — the mirror image of Table I's accuracy
 //! degradation, which together form the paper's central trade-off.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin leakage_sweep
-//! cargo run -p stsl-bench --release --bin leakage_sweep -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_privacy::measure_leakage;
 use stsl_split::{CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig};
 
@@ -36,36 +32,27 @@ struct Leakage {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
     // The inversion regression must be well-posed: auxiliary samples must
     // exceed the widest cut's activation width. The tiny 16×16 arch keeps
     // that affordable (cut-1 width 512 < 800 aux); the paper arch at
     // cut 1 would need > 4096 auxiliary samples and a 12M-parameter
-    // decoder (pass --samples/--aux yourself if you want that).
-    let (arch, side, train_n, train_epochs, attack_epochs, aux_n, victim_n) = if quick {
-        (CnnArch::tiny(), 16, 200, 1, 5, 150, 30)
+    // decoder.
+    let arch = CnnArch::tiny();
+    let (train_n, train_epochs, attack_epochs, aux_n, victim_n) = if quick {
+        (200, 1, 5, 150, 30)
     } else {
-        (
-            CnnArch::tiny(),
-            16,
-            args.get_usize("samples", 800),
-            args.get_usize("epochs", 3),
-            args.get_usize("attack-epochs", 20),
-            args.get_usize("aux", 800),
-            args.get_usize("victims", 48),
-        )
+        (800, 3, 20, 800, 48)
     };
-    let seed = args.get_u64("seed", 13);
-    let max_cut = args.get_usize("max-cut", arch.blocks().min(4)).max(1);
+    let max_cut = arch.blocks().clamp(1, 4);
 
-    let difficulty = args.get_f32("difficulty", if quick { 0.12 } else { 0.2 });
-    let (train, test, source) = load_data(train_n, 64, side, seed, difficulty);
+    let difficulty = if quick { 0.12 } else { 0.2 };
+    let (train, test, source) = load_data(train_n, 64, 16, seed, difficulty);
     // The attacker's auxiliary data is drawn from a *different* generator
     // seed: same distribution, disjoint samples.
-    let (aux, victims, _) = load_data(aux_n, victim_n, side, seed ^ 0xABCD, difficulty);
-    println!(
+    let (aux, victims, _) = load_data(aux_n, victim_n, 16, seed ^ 0xABCD, difficulty);
+    let header = format!(
         "E3 leakage sweep — {} data, cuts 1..={}, attack {} epochs on {} aux samples",
         source,
         max_cut,
@@ -84,10 +71,6 @@ fn main() {
         let activation_floats: usize = arch.cut_dims(CutPoint(cut), 1).iter().product();
         let client = trainer.clients_mut().first_mut().expect("one client");
         let report = measure_leakage(|x| client.encode(x), &aux, &victims, attack_epochs, seed);
-        println!(
-            "  cut {}: psnr {:.2} dB  ssim {:.3}  dcor {:.3}",
-            cut, report.psnr_db, report.ssim, report.dcor
-        );
         rows.push(Row {
             cut,
             label: CutPoint(cut).label(),
@@ -99,44 +82,28 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                format!("{:.2}", r.psnr_db),
-                format!("{:.3}", r.ssim),
-                format!("{:.3}", r.dcor),
-                format!("{}", r.activation_floats),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "Layers at end-system",
-                "PSNR (dB) ↓=private",
-                "SSIM",
-                "dCor",
-                "act. floats"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("Layers at end-system", &|r| r.label.clone()),
+            ("PSNR (dB) ↓=private", &|r| format!("{:.2}", r.psnr_db)),
+            ("SSIM", &|r| format!("{:.3}", r.ssim)),
+            ("dCor", &|r| format!("{:.3}", r.dcor)),
+            ("act. floats", &|r| r.activation_floats.to_string()),
+        ],
     );
     let monotone = rows.windows(2).all(|w| w[1].psnr_db <= w[0].psnr_db + 0.5);
-    if monotone {
-        println!("=> leakage decreases with cut depth: deeper cuts are more private");
-    }
-
-    write_results(
-        "leakage",
-        "leakage_sweep",
-        seed,
+    let verdict = if monotone {
+        "=> leakage decreases with cut depth: deeper cuts are more private\n"
+    } else {
+        ""
+    };
+    Outcome::new(
+        format!("{header}\n\n{table}{verdict}"),
         &Leakage {
             data_source: source.to_string(),
             attack_epochs,
             rows,
         },
-    );
+    )
 }

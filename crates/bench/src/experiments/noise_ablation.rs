@@ -5,16 +5,14 @@
 //! the end-system. This ablation sweeps the noise level σ and measures
 //! both sides of the trade: task accuracy (synchronous trainer) and
 //! inversion-attack leakage against the protected encoder.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin noise_ablation
-//! cargo run -p stsl-bench --release --bin noise_ablation -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_privacy::measure_leakage;
 use stsl_split::{CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig};
+
+const CUT: usize = 1;
 
 #[derive(Serialize)]
 struct Row {
@@ -32,38 +30,29 @@ struct NoiseAblation {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
     let (train_n, epochs, aux_n, attack_epochs) = if quick {
-        (240usize, 2usize, 400usize, 6usize)
+        (240, 2, 400, 6)
     } else {
-        (
-            args.get_usize("samples", 800),
-            args.get_usize("epochs", 4),
-            800,
-            10,
-        )
+        (800, 4, 800, 10)
     };
-    let cut = args.get_usize("cut", 1);
-    let seed = args.get_u64("seed", 23);
     let sigmas: Vec<f32> = if quick {
         vec![0.0, 1.0]
     } else {
         vec![0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.1);
-    let (train, test, source) = load_data(train_n, 150, 16, seed, difficulty);
-    let (aux, victims, _) = load_data(aux_n, 32, 16, seed ^ 0x55, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 150, 16, seed, 0.1);
+    let (aux, victims, _) = load_data(aux_n, 32, 16, seed ^ 0x55, 0.1);
+    let header = format!(
         "E7 noise-defense ablation — {} data, cut {}, σ sweep {:?}",
-        source, cut, sigmas
+        source, CUT, sigmas
     );
 
     let mut rows = Vec::new();
     for &sigma in &sigmas {
-        let cfg = SplitConfig::new(CutPoint(cut), 2)
+        let cfg = SplitConfig::new(CutPoint(CUT), 2)
             .arch(CnnArch::tiny())
             .epochs(epochs)
             .seed(seed)
@@ -78,14 +67,6 @@ fn main() {
             attack_epochs,
             seed,
         );
-        println!(
-            "  σ={:<5} accuracy {:.1}%  psnr {:.2} dB  ssim {:.3}  dcor {:.3}",
-            sigma,
-            report.final_accuracy * 100.0,
-            leak.psnr_db,
-            leak.ssim,
-            leak.dcor
-        );
         rows.push(Row {
             sigma,
             accuracy: report.final_accuracy,
@@ -95,35 +76,24 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.sigma),
-                format!("{:.1}%", r.accuracy * 100.0),
-                format!("{:.2}", r.psnr_db),
-                format!("{:.3}", r.ssim),
-                format!("{:.3}", r.dcor),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &["σ", "accuracy", "attack PSNR (dB)", "SSIM", "dCor"],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("σ", &|r| r.sigma.to_string()),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+            ("attack PSNR (dB)", &|r| format!("{:.2}", r.psnr_db)),
+            ("SSIM", &|r| format!("{:.3}", r.ssim)),
+            ("dCor", &|r| format!("{:.3}", r.dcor)),
+        ],
     );
-    println!("higher σ ⇒ lower leakage (PSNR/dCor fall) at the cost of accuracy");
-
-    write_results(
-        "noise",
-        "noise_ablation",
-        seed,
+    Outcome::new(
+        format!(
+            "{header}\n\n{table}higher σ ⇒ lower leakage (PSNR/dCor fall) at the cost of accuracy\n"
+        ),
         &NoiseAblation {
             data_source: source.to_string(),
-            cut,
+            cut: CUT,
             rows,
         },
-    );
+    )
 }

@@ -18,14 +18,10 @@
 //! and the speedup is noise, not signal. `scripts/check_speedup.py`
 //! consumes these fields to decide whether the ≥2× four-thread gate is
 //! applicable on the current runner.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin parallel_speedup
-//! cargo run -p stsl-bench --release --bin parallel_speedup -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_parallel::with_threads;
 use stsl_split::{CutPoint, SpatioTemporalTrainer, SplitConfig};
 use stsl_tensor::init::rng_from_seed;
@@ -69,10 +65,9 @@ fn median_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let repeats = args.get_usize("repeats", if quick { 3 } else { 7 });
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let repeats = if quick { 3 } else { 7 };
     let (m, k, n) = if quick { (96, 96, 96) } else { (256, 256, 256) };
     let large = if quick { 160 } else { 384 };
     let train_n = if quick { 64 } else { 256 };
@@ -100,7 +95,6 @@ fn main() {
     }
 
     let mut rows: Vec<Timing> = Vec::new();
-    let mut table: Vec<Vec<String>> = Vec::new();
     for backend in [Backend::Reference, Backend::Blocked] {
         for (workload, mut run) in [
             (
@@ -124,7 +118,7 @@ fn main() {
             (
                 "sync_epoch",
                 Box::new(|| {
-                    let cfg = SplitConfig::tiny(CutPoint(1), 4).epochs(1).seed(9);
+                    let cfg = SplitConfig::tiny(CutPoint(1), 4).epochs(1).seed(seed);
                     let mut t = SpatioTemporalTrainer::new(cfg, &train).expect("valid config");
                     std::hint::black_box(t.run_epoch(0));
                 }),
@@ -149,41 +143,39 @@ fn main() {
                     median_ms: ms,
                     speedup_vs_serial: speedup,
                 });
-                table.push(vec![
-                    workload.to_string(),
-                    backend.name().to_string(),
-                    format!(
-                        "{}/{}{}",
-                        granted,
-                        threads,
-                        if threads > hardware_threads { "!" } else { "" }
-                    ),
-                    format!("{:.3}", ms),
-                    format!("{:.2}x", speedup),
-                ]);
             }
         }
     }
 
-    println!(
-        "parallel speedup (hardware threads: {}, repeats: {})\n",
-        hardware_threads, repeats
+    let oversubscribed = |r: &Timing| {
+        if r.threads_requested > hardware_threads {
+            "!"
+        } else {
+            ""
+        }
+    };
+    let table = render_table(
+        &rows,
+        &[
+            ("workload", &|r| r.workload.clone()),
+            ("backend", &|r| r.backend.clone()),
+            ("granted/req", &|r| {
+                format!(
+                    "{}/{}{}",
+                    r.threads_granted,
+                    r.threads_requested,
+                    oversubscribed(r)
+                )
+            }),
+            ("median ms", &|r| format!("{:.3}", r.median_ms)),
+            ("speedup", &|r| format!("{:.2}x", r.speedup_vs_serial)),
+        ],
     );
-    println!(
-        "{}",
-        render_table(
-            &["workload", "backend", "granted/req", "median ms", "speedup"],
-            &table
-        )
-    );
-    for w in &warnings {
-        println!("warning: {w}");
-    }
-
-    write_results(
-        "parallel",
-        "parallel_speedup",
-        9,
+    let warning_lines: String = warnings.iter().map(|w| format!("warning: {w}\n")).collect();
+    Outcome::new(
+        format!(
+            "parallel speedup (hardware threads: {hardware_threads}, repeats: {repeats})\n\n{table}{warning_lines}"
+        ),
         &SpeedupReport {
             hardware_threads,
             repeats,
@@ -194,5 +186,5 @@ fn main() {
             warnings,
             rows,
         },
-    );
+    )
 }

@@ -7,14 +7,10 @@
 //! Because average pooling is linear, a regression attack inverts it far
 //! better — confirming that the nonlinearity of max-pooling is doing real
 //! privacy work, not just the downsampling.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin pool_ablation
-//! cargo run -p stsl-bench --release --bin pool_ablation -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_privacy::measure_leakage;
 use stsl_privacy::visualize::{capture_stages, stage_similarity};
 use stsl_split::{CnnArch, CutPoint, PoolKind, SpatioTemporalTrainer, SplitConfig};
@@ -35,24 +31,15 @@ struct PoolAblation {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (train_n, epochs, aux_n, attack_epochs) = if quick {
-        (200usize, 1usize, 300usize, 6usize)
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let (train_n, epochs, aux_n, attack_epochs) = if preset == Preset::Quick {
+        (200, 1, 300, 6)
     } else {
-        (
-            args.get_usize("samples", 800),
-            args.get_usize("epochs", 3),
-            800,
-            15,
-        )
+        (800, 3, 800, 15)
     };
-    let seed = args.get_u64("seed", 37);
-    let difficulty = args.get_f32("difficulty", 0.1);
-    let (train, test, source) = load_data(train_n, 150, 16, seed, difficulty);
-    let (aux, victims, _) = load_data(aux_n, 32, 16, seed ^ 0x77, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 150, 16, seed, 0.1);
+    let (aux, victims, _) = load_data(aux_n, 32, 16, seed ^ 0x77, 0.1);
+    let header = format!(
         "E9 pooling ablation — {} data, cut 1, max vs avg pooling",
         source
     );
@@ -82,14 +69,6 @@ fn main() {
         }
         sim /= samples.max(1) as f32;
         let leak = measure_leakage(|x| client.encode(x), &aux, &victims, attack_epochs, seed);
-        println!(
-            "  {}-pool: accuracy {:.1}%  post-pool similarity {:.3}  attack psnr {:.2} dB  ssim {:.3}",
-            pool,
-            report.final_accuracy * 100.0,
-            sim,
-            leak.psnr_db,
-            leak.ssim
-        );
         rows.push(Row {
             pool: pool.to_string(),
             accuracy: report.final_accuracy,
@@ -100,42 +79,28 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.pool.clone(),
-                format!("{:.1}%", r.accuracy * 100.0),
-                format!("{:.3}", r.post_pool_similarity),
-                format!("{:.2}", r.attack_psnr_db),
-                format!("{:.3}", r.attack_ssim),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "pooling",
-                "accuracy",
-                "post-pool similarity",
-                "attack PSNR (dB)",
-                "SSIM"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("pooling", &|r| r.pool.clone()),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+            ("post-pool similarity", &|r| {
+                format!("{:.3}", r.post_pool_similarity)
+            }),
+            ("attack PSNR (dB)", &|r| format!("{:.2}", r.attack_psnr_db)),
+            ("SSIM", &|r| format!("{:.3}", r.attack_ssim)),
+        ],
     );
-    if rows.len() == 2 && rows[1].attack_psnr_db > rows[0].attack_psnr_db {
-        println!("=> average pooling leaks more: max-pooling's nonlinearity is doing privacy work, as the paper claims");
-    }
-
-    write_results(
-        "pool",
-        "pool_ablation",
-        seed,
+    let verdict = if rows.len() == 2 && rows[1].attack_psnr_db > rows[0].attack_psnr_db {
+        "=> average pooling leaks more: max-pooling's nonlinearity is doing privacy work, as the paper claims\n"
+    } else {
+        ""
+    };
+    Outcome::new(
+        format!("{header}\n\n{table}{verdict}"),
         &PoolAblation {
             data_source: source.to_string(),
             rows,
         },
-    );
+    )
 }

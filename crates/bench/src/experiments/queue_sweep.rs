@@ -7,18 +7,16 @@
 //! spread across end-systems it reports queue depth, queueing delay,
 //! per-client service imbalance and final accuracy under three scheduling
 //! policies (FIFO, round-robin, staleness-drop).
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin queue_sweep
-//! cargo run -p stsl-bench --release --bin queue_sweep -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SplitConfig,
 };
+
+const CLIENTS: usize = 4;
 
 #[derive(Serialize)]
 struct Row {
@@ -41,32 +39,19 @@ struct QueueSweep {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (arch, side, train_n, budget_s) = if quick {
-        (CnnArch::tiny(), 16, 240, args.get_f32("budget", 2.0) as f64)
-    } else {
-        (
-            CnnArch::tiny(),
-            16,
-            args.get_usize("samples", 1_000),
-            args.get_f32("budget", 20.0) as f64,
-        )
-    };
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 21);
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let (train_n, budget_s) = if quick { (240, 2.0) } else { (1_000, 20.0) };
     let spreads: Vec<f64> = if quick {
         vec![1.0, 100.0]
     } else {
         vec![1.0, 25.0, 50.0, 100.0, 200.0]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 200, side, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 200, 16, seed, 0.12);
+    let header = format!(
         "E4 queue/scheduling sweep — {} data, {} end-systems, fixed {:.0} s simulated budget per run",
-        source, clients, budget_s
+        source, CLIENTS, budget_s
     );
 
     // Server is made deliberately slow relative to client compute so a
@@ -87,13 +72,13 @@ fn main() {
     let mut rows = Vec::new();
     for &spread in &spreads {
         // Latency gradient: nearest end-system 1 ms, farthest `spread` ms.
-        let topology = StarTopology::latency_gradient(clients, 1.0, spread.max(1.0), 100.0);
+        let topology = StarTopology::latency_gradient(CLIENTS, 1.0, spread.max(1.0), 100.0);
         for policy in policies {
             // Many epochs: the fixed simulated-time budget terminates the
             // run, so per-client service counts reflect service *rates*
             // (the §II bias), not shard sizes.
-            let cfg = SplitConfig::new(CutPoint(1), clients)
-                .arch(arch.clone())
+            let cfg = SplitConfig::new(CutPoint(1), CLIENTS)
+                .arch(CnnArch::tiny())
                 .epochs(10_000)
                 .batch_size(16)
                 .seed(seed);
@@ -101,17 +86,6 @@ fn main() {
                 AsyncSplitTrainer::new(cfg, &train, topology.clone(), policy, compute)
                     .expect("valid config");
             let r = trainer.run_with_budget(&test, Some(SimDuration::from_secs_f64(budget_s)));
-            println!(
-                "  spread {:>5.0} ms  {:<22} depth {:.1} (max {:>2})  wait {:>7.1} ms  imbalance {:.3}  drops {}  acc {:.1}%",
-                spread,
-                r.policy,
-                r.mean_queue_depth,
-                r.max_queue_depth,
-                r.mean_queue_wait_ms,
-                r.service_imbalance,
-                r.scheduler_drops,
-                r.final_accuracy * 100.0
-            );
             rows.push(Row {
                 policy: r.policy.clone(),
                 latency_spread_ms: spread,
@@ -127,44 +101,24 @@ fn main() {
         }
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}", r.latency_spread_ms),
-                r.policy.clone(),
-                format!("{:.2}", r.mean_queue_depth),
-                format!("{:.1}", r.mean_queue_wait_ms),
-                format!("{:.3}", r.service_imbalance),
-                format!("{}", r.scheduler_drops),
-                format!("{:.1}%", r.accuracy * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "spread (ms)",
-                "policy",
-                "mean depth",
-                "wait (ms)",
-                "imbalance",
-                "drops",
-                "accuracy"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("spread (ms)", &|r| format!("{:.0}", r.latency_spread_ms)),
+            ("policy", &|r| r.policy.clone()),
+            ("mean depth", &|r| format!("{:.2}", r.mean_queue_depth)),
+            ("wait (ms)", &|r| format!("{:.1}", r.mean_queue_wait_ms)),
+            ("imbalance", &|r| format!("{:.3}", r.service_imbalance)),
+            ("drops", &|r| r.scheduler_drops.to_string()),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+        ],
     );
-
-    write_results(
-        "queue",
-        "queue_sweep",
-        seed,
+    Outcome::new(
+        format!("{header}\n\n{table}"),
         &QueueSweep {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             rows,
         },
-    );
+    )
 }

@@ -6,19 +6,17 @@
 //! reaches one shared server model, so it should stay near-flat — the
 //! paper's core claim) and simulated wall-clock time over a WAN topology
 //! (more end-systems pipeline more batches concurrently).
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin scale_sweep
-//! cargo run -p stsl-bench --release --bin scale_sweep -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{crossval_fleet_report, load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{crossval_fleet_report, load_data, render_table, write_results, Args};
 use stsl_simnet::{Link, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SpatioTemporalTrainer,
     SplitConfig,
 };
+
+const CUT: usize = 1;
 
 #[derive(Serialize)]
 struct Row {
@@ -53,42 +51,29 @@ struct ScaleSweep {
     fleet_row: FleetRow,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (arch, side, train_n, epochs) = if quick {
-        (CnnArch::tiny(), 16, 240, 1)
-    } else {
-        (
-            CnnArch::tiny(),
-            16,
-            args.get_usize("samples", 1_200),
-            args.get_usize("epochs", 8),
-        )
-    };
-    let cut = args.get_usize("cut", 1);
-    let seed = args.get_u64("seed", 31);
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let (train_n, epochs) = if quick { (240, 1) } else { (1_200, 8) };
     let ns: Vec<usize> = if quick {
         vec![1, 4]
     } else {
         vec![1, 2, 4, 8, 16]
     };
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 200, side, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 200, 16, seed, 0.12);
+    let header = format!(
         "E5 scalability sweep — {} data, {} samples total, cut {}, {} epochs",
         source,
         train.len(),
-        cut,
+        CUT,
         epochs
     );
 
     let mut rows = Vec::new();
     for &n in &ns {
         let cfg = || {
-            SplitConfig::new(CutPoint(cut), n)
-                .arch(arch.clone())
+            SplitConfig::new(CutPoint(CUT), n)
+                .arch(CnnArch::tiny())
                 .epochs(epochs)
                 .batch_size(16)
                 .seed(seed)
@@ -107,13 +92,6 @@ fn main() {
         )
         .expect("valid config");
         let ar = asynct.run(&test);
-        println!(
-            "  N={:<2} accuracy {:.1}%  sim time {:.2}s  uplink {:.2} MB",
-            n,
-            report.final_accuracy * 100.0,
-            ar.sim_seconds,
-            report.comm.uplink_bytes as f64 / 1e6
-        );
         rows.push(Row {
             end_systems: n,
             accuracy_sync: report.final_accuracy,
@@ -123,35 +101,24 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.end_systems),
-                format!("{:.2}%", r.accuracy_sync * 100.0),
-                format!("{:.2}", r.sim_seconds_async),
-                format!("{:.2}", r.uplink_mb),
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &["end-systems", "accuracy", "sim time (s)", "uplink (MB)"],
-            &table
-        )
-    );
-    println!(
-        "N=1 is vanilla split learning (paper Fig. 1); N>1 is spatio-temporal (Fig. 2).\n\
-         Accuracy stays near-flat because every batch still trains the one shared server model."
+    let table = render_table(
+        &rows,
+        &[
+            ("end-systems", &|r| r.end_systems.to_string()),
+            ("accuracy", &|r| format!("{:.2}%", r.accuracy_sync * 100.0)),
+            ("sim time (s)", &|r| format!("{:.2}", r.sim_seconds_async)),
+            ("uplink (MB)", &|r| format!("{:.2}", r.uplink_mb)),
+        ],
     );
 
     // Past the per-client-replica ceiling: 64 end-systems through the
     // cohort-sharded fleet path (identical run to fleet_sweep's 64 row).
     let fr = crossval_fleet_report();
-    println!(
-        "\n  N=64 (cohort path, K={}) accuracy {:.1}%  sim time {:.2}s  \
-         mean depth {:.2}  {:.0} ev/sim-s",
+    let report = format!(
+        "{header}\n\n{table}\
+         N=1 is vanilla split learning (paper Fig. 1); N>1 is spatio-temporal (Fig. 2).\n\
+         Accuracy stays near-flat because every batch still trains the one shared server model.\n\n\
+         N=64 (cohort path, K={}) accuracy {:.1}%  sim time {:.2}s  mean depth {:.2}  {:.0} ev/sim-s\n",
         fr.cohorts,
         fr.final_accuracy * 100.0,
         fr.sim_seconds,
@@ -168,16 +135,14 @@ fn main() {
         cohort_steps: fr.cohort_steps,
     };
 
-    write_results(
-        "scale",
-        "scale_sweep",
-        seed,
+    Outcome::new(
+        report,
         &ScaleSweep {
             data_source: source.to_string(),
-            cut,
+            cut: CUT,
             train_samples: train.len(),
             rows,
             fleet_row,
         },
-    );
+    )
 }

@@ -5,20 +5,16 @@
 //! points) as more blocks `L_1..L_k` become private per-end-system,
 //! because each end-system's private encoder trains only on its own shard
 //! and is never averaged.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin table1                # standard
-//! cargo run -p stsl-bench --release --bin table1 -- --quick    # CI smoke
-//! cargo run -p stsl-bench --release --bin table1 -- --full     # paper scale
-//! cargo run -p stsl-bench --release --bin table1 -- --dirichlet 0.3
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_split::{
     baselines::CentralizedTrainer, CnnArch, CutPoint, PartitionKind, SpatioTemporalTrainer,
     SplitConfig,
 };
+
+const CLIENTS: usize = 4;
 
 #[derive(Serialize)]
 struct Row {
@@ -40,62 +36,36 @@ struct Table1 {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let full = args.get_flag("full");
-    let (arch, side, train_n, test_n, epochs) = if quick {
-        (CnnArch::tiny(), 16, 300, 100, args.get_usize("epochs", 3))
-    } else if full {
-        (
-            CnnArch::paper(),
-            32,
-            20_000,
-            4_000,
-            args.get_usize("epochs", 15),
-        )
-    } else {
-        (
-            CnnArch::paper(),
-            32,
-            args.get_usize("samples", 2_000),
-            500,
-            args.get_usize("epochs", 6),
-        )
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let (arch, side, train_n, test_n, epochs) = match preset {
+        Preset::Quick => (CnnArch::tiny(), 16, 300, 100, 3),
+        Preset::Standard => (CnnArch::paper(), 32, 2_000, 500, 6),
+        Preset::Full => (CnnArch::paper(), 32, 20_000, 4_000, 15),
     };
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 42);
-    let lr = args.get_f32("lr", 0.01);
-    let dirichlet = args.get_f32("dirichlet", 0.0);
-    let max_cut = args.get_usize("max-cut", (arch.blocks() - 1).min(4));
+    let max_cut = (arch.blocks() - 1).min(4);
     // Harder synthetic noise at paper scale keeps the ceiling near the
     // paper's ~71 % instead of saturating.
-    let difficulty = args.get_f32("difficulty", if quick { 0.12 } else { 0.35 });
+    let difficulty = if preset == Preset::Quick { 0.12 } else { 0.35 };
 
     let (train, test, source) = load_data(train_n, test_n, side, seed, difficulty);
-    println!(
+    let header = format!(
         "Table I reproduction — {} data, {} train / {} test, {} end-systems, {} epochs",
         source,
         train.len(),
         test.len(),
-        clients,
+        CLIENTS,
         epochs
     );
 
-    let partition = if dirichlet > 0.0 {
-        PartitionKind::Dirichlet { alpha: dirichlet }
-    } else {
-        PartitionKind::Iid
-    };
-
     let mut rows = Vec::new();
+    let mut wall = Vec::new();
     let mut baseline_acc = 0.0f32;
     for cut in 0..=max_cut {
-        let cfg = SplitConfig::new(CutPoint(cut), clients)
+        let cfg = SplitConfig::new(CutPoint(cut), CLIENTS)
             .arch(arch.clone())
             .epochs(epochs)
-            .learning_rate(lr)
-            .partition(partition)
+            .learning_rate(0.01)
+            .partition(PartitionKind::Iid)
             .seed(seed);
         let started = stsl_split::WallTimer::start();
         let report = if cut == 0 {
@@ -107,17 +77,11 @@ fn main() {
             let mut t = SpatioTemporalTrainer::new(cfg, &train).expect("valid config");
             t.train(&test)
         };
+        wall.push(format!("cut {} {:.1}s", cut, started.seconds()));
         let acc = report.best_accuracy();
         if cut == 0 {
             baseline_acc = acc;
         }
-        println!(
-            "  cut {} [{}]: accuracy {:.2}% ({:.1}s)",
-            cut,
-            report.label,
-            acc * 100.0,
-            started.seconds()
-        );
         rows.push(Row {
             cut,
             label: report.label.clone(),
@@ -135,46 +99,32 @@ fn main() {
         (3, 66.00),
         (4, 65.66),
     ];
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let paper_acc = paper
-                .iter()
-                .find(|(c, _)| *c == r.cut)
-                .map(|(_, a)| format!("{:.2}%", a))
-                .unwrap_or_else(|| "—".into());
-            vec![
-                r.label.clone(),
-                format!("{:.2}%", r.accuracy * 100.0),
-                format!("{:.2}", r.degradation_pts),
-                paper_acc,
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "Layers at end-systems",
-                "Accuracy (ours)",
-                "Degradation (pts)",
-                "Paper"
-            ],
-            &table_rows
-        )
+    let paper_cell = |r: &Row| match paper.iter().find(|(c, _)| *c == r.cut) {
+        Some((_, a)) => format!("{:.2}%", a),
+        None => "—".into(),
+    };
+    let table = render_table(
+        &rows,
+        &[
+            ("Layers at end-systems", &|r| r.label.clone()),
+            ("Accuracy (ours)", &|r| {
+                format!("{:.2}%", r.accuracy * 100.0)
+            }),
+            ("Degradation (pts)", &|r| {
+                format!("{:.2}", r.degradation_pts)
+            }),
+            ("Paper", &paper_cell),
+        ],
     );
-
-    write_results(
-        "table1",
-        "table1",
-        seed,
+    Outcome::new(
+        format!("{header}\n\n{table}wall clock: {}\n", wall.join(", ")),
         &Table1 {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             train_samples: train.len(),
             epochs,
             paper_accuracy: paper,
             rows,
         },
-    );
+    )
 }

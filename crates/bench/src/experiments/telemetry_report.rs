@@ -9,54 +9,43 @@
 //!
 //! The output is part of the determinism contract: every value derives
 //! from simulated time, so the file is bitwise identical for any
-//! `STSL_THREADS` (CI diffs the bytes across thread counts). The results
-//! envelope therefore omits the thread count.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin telemetry_report
-//! cargo run -p stsl-bench --release --bin telemetry_report -- --quick
-//! ```
+//! `STSL_THREADS`.
 
-use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SplitConfig,
 };
 use stsl_telemetry::{render_dashboard, MetricId};
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (train_n, budget_s) = if quick {
-        (240, args.get_f32("budget", 2.0) as f64)
-    } else {
-        (
-            args.get_usize("samples", 1_000),
-            args.get_f32("budget", 15.0) as f64,
-        )
-    };
-    let clients = args.get_usize("clients", 4);
-    let seed = args.get_u64("seed", 51);
-    let snapshot_ms = args.get_u64("snapshot-ms", 250);
-    let journal_cap = args.get_usize("journal-cap", 4096);
+const CLIENTS: usize = 4;
+const SNAPSHOT_MS: u64 = 250;
+const JOURNAL_CAP: usize = 4096;
 
-    let difficulty = args.get_f32("difficulty", 0.12);
-    let (train, test, source) = load_data(train_n, 160, 16, seed, difficulty);
-    println!(
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let (train_n, budget_s) = if preset == Preset::Quick {
+        (240, 2.0)
+    } else {
+        (1_000, 15.0)
+    };
+
+    let (train, test, source) = load_data(train_n, 160, 16, seed, 0.12);
+    let header = format!(
         "E12 telemetry report — {} data, {} end-systems, {:.0} s simulated budget, snapshot every {} ms",
-        source, clients, budget_s, snapshot_ms
+        source, CLIENTS, budget_s, SNAPSHOT_MS
     );
 
     // Latency gradient (1..120 ms) so the per-end-system latency and
     // staleness distributions actually differ; slow server so a queue
     // forms and queue-depth has something to show.
-    let topology = StarTopology::latency_gradient(clients, 1.0, 120.0, 100.0);
+    let topology = StarTopology::latency_gradient(CLIENTS, 1.0, 120.0, 100.0);
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(4),
         server_batch: SimDuration::from_millis(10),
         retry_timeout: SimDuration::from_millis(400),
     };
-    let cfg = SplitConfig::new(CutPoint(1), clients)
+    let cfg = SplitConfig::new(CutPoint(1), CLIENTS)
         .arch(CnnArch::tiny())
         .epochs(10_000)
         .batch_size(16)
@@ -64,46 +53,45 @@ fn main() {
     let mut trainer =
         AsyncSplitTrainer::new(cfg, &train, topology, SchedulingPolicy::Fifo, compute)
             .expect("valid config")
-            .with_telemetry(SimDuration::from_millis(snapshot_ms), journal_cap);
+            .with_telemetry(SimDuration::from_millis(SNAPSHOT_MS), JOURNAL_CAP);
     trainer.enable_trace();
 
     let r = trainer.run_with_budget(&test, Some(SimDuration::from_secs_f64(budget_s)));
     let hub = trainer.telemetry().expect("telemetry enabled");
 
-    println!();
-    match hub.latest_snapshot() {
-        Some(snap) => println!("{}", render_dashboard(snap)),
-        None => println!("(no snapshot emitted)"),
-    }
+    let dashboard = match hub.latest_snapshot() {
+        Some(snap) => render_dashboard(snap),
+        None => "(no snapshot emitted)".to_string(),
+    };
 
     // Per-end-system latency/staleness summary table.
-    let mut rows = Vec::new();
-    for actor in 0..clients as u64 {
-        let cell = |metric: MetricId| match hub.registry().histogram(metric, actor) {
+    let quantiles = |metric: MetricId| {
+        move |actor: &u64| match hub.registry().histogram(metric, *actor) {
             Some(h) => format!("{}/{}/{}", h.p50(), h.p90(), h.p99()),
             None => "-".to_string(),
-        };
-        rows.push(vec![
-            format!("{}", actor),
-            cell(MetricId::UplinkLatency),
-            cell(MetricId::DownlinkLatency),
-            cell(MetricId::GradientStaleness),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "end-system",
+        }
+    };
+    let actors: Vec<u64> = (0..CLIENTS as u64).collect();
+    let table = render_table(
+        &actors,
+        &[
+            ("end-system", &|a| a.to_string()),
+            (
                 "uplink p50/p90/p99 (us)",
+                &quantiles(MetricId::UplinkLatency),
+            ),
+            (
                 "downlink p50/p90/p99 (us)",
-                "staleness p50/p90/p99 (us)"
-            ],
-            &rows
-        )
+                &quantiles(MetricId::DownlinkLatency),
+            ),
+            (
+                "staleness p50/p90/p99 (us)",
+                &quantiles(MetricId::GradientStaleness),
+            ),
+        ],
     );
-    println!(
-        "snapshots {}  journal events {} (evicted {})  served {:?}",
+    let report = format!(
+        "{header}\n\n{dashboard}\n{table}snapshots {}  journal events {} (evicted {})  served {:?}\n",
         r.snapshots_emitted,
         hub.journal_log().len(),
         r.journal_dropped,
@@ -112,15 +100,19 @@ fn main() {
 
     // Hand-rendered payload: every value is simulated-time-derived, so
     // the bytes must not depend on the thread count.
-    let data_json = format!(
+    let data = format!(
         "{{\"data_source\":\"{}\",\"end_systems\":{},\"policy\":\"{}\",\"sim_seconds\":{},\"snapshots_emitted\":{},\"journal_dropped\":{},\"telemetry\":{}}}",
         source,
-        clients,
+        CLIENTS,
         r.policy,
         r.sim_seconds,
         r.snapshots_emitted,
         r.journal_dropped,
         hub.export_json()
     );
-    write_results_deterministic("telemetry", "telemetry_report", seed, &data_json);
+    Outcome {
+        report,
+        data,
+        files: Vec::new(),
+    }
 }

@@ -5,15 +5,13 @@
 //! variant (its ref. \[3\]) keeps the loss and the final layer at the
 //! end-system so labels never leave. This experiment compares the two on
 //! the same data: accuracy, communication bytes and messages per epoch.
-//!
-//! ```text
-//! cargo run -p stsl-bench --release --bin ushaped_compare
-//! cargo run -p stsl-bench --release --bin ushaped_compare -- --quick
-//! ```
 
+use super::{Outcome, Preset};
+use crate::{load_data, render_table};
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_split::{CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig, UShapedTrainer};
+
+const CLIENTS: usize = 2;
 
 #[derive(Serialize)]
 struct Row {
@@ -33,32 +31,21 @@ struct UShapedCompare {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.get_flag("quick");
-    let (train_n, epochs) = if quick {
-        (240usize, 1usize)
-    } else {
-        (
-            args.get_usize("samples", 1_000),
-            args.get_usize("epochs", 4),
-        )
-    };
-    let clients = args.get_usize("clients", 2);
-    let seed = args.get_u64("seed", 29);
+pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
+    let quick = preset == Preset::Quick;
+    let (train_n, epochs) = if quick { (240, 1) } else { (1_000, 4) };
     let cuts: Vec<usize> = if quick { vec![1] } else { vec![1, 2] };
 
-    let difficulty = args.get_f32("difficulty", 0.1);
-    let (train, test, source) = load_data(train_n, 150, 16, seed, difficulty);
-    println!(
+    let (train, test, source) = load_data(train_n, 150, 16, seed, 0.1);
+    let header = format!(
         "E8 protocol comparison — {} data, {} end-systems, {} epochs",
-        source, clients, epochs
+        source, CLIENTS, epochs
     );
 
     let mut rows = Vec::new();
     for &cut in &cuts {
         let cfg = || {
-            SplitConfig::new(CutPoint(cut), clients)
+            SplitConfig::new(CutPoint(cut), CLIENTS)
                 .arch(CnnArch::tiny())
                 .epochs(epochs)
                 .seed(seed)
@@ -83,58 +70,30 @@ fn main() {
             messages: ru.comm.uplink_messages + ru.comm.downlink_messages,
             labels_leave_site: false,
         });
-        println!(
-            "  cut {}: label-sharing {:.1}% / {:.2} MB   u-shaped {:.1}% / {:.2} MB",
-            cut,
-            rs.final_accuracy * 100.0,
-            rs.comm.total_bytes() as f64 / 1e6,
-            ru.final_accuracy * 100.0,
-            ru.comm.total_bytes() as f64 / 1e6
-        );
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.cut),
-                r.protocol.clone(),
-                format!("{:.1}%", r.accuracy * 100.0),
-                format!("{:.2}", r.total_mb),
-                format!("{}", r.messages),
-                if r.labels_leave_site {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "cut",
-                "protocol",
-                "accuracy",
-                "total MB",
-                "messages",
-                "labels leave?"
-            ],
-            &table
-        )
+    let table = render_table(
+        &rows,
+        &[
+            ("cut", &|r| r.cut.to_string()),
+            ("protocol", &|r| r.protocol.clone()),
+            ("accuracy", &|r| format!("{:.1}%", r.accuracy * 100.0)),
+            ("total MB", &|r| format!("{:.2}", r.total_mb)),
+            ("messages", &|r| r.messages.to_string()),
+            ("labels leave?", &|r| {
+                (if r.labels_leave_site { "yes" } else { "no" }).to_string()
+            }),
+        ],
     );
-    println!("u-shaped doubles the per-batch round trips but keeps labels on site");
-
-    write_results(
-        "ushaped",
-        "ushaped_compare",
-        seed,
+    Outcome::new(
+        format!(
+            "{header}\n\n{table}u-shaped doubles the per-batch round trips but keeps labels on site\n"
+        ),
         &UShapedCompare {
             data_source: source.to_string(),
-            end_systems: clients,
+            end_systems: CLIENTS,
             epochs,
             rows,
         },
-    );
+    )
 }

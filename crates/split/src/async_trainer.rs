@@ -52,6 +52,7 @@ use crate::scheduler::{ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use crate::trainer::ConfigError;
 use rand::Rng;
+use std::num::NonZeroUsize;
 use stsl_data::{ImageDataset, Partition};
 use stsl_simnet::{
     corrupt_payload, AttackSpec, EndSystemId, EventQueue, FaultPlan, SimDuration, SimTime,
@@ -340,7 +341,7 @@ impl AsyncSplitTrainer {
             liveness_timeout,
             liveness: LivenessTracker::new(n, liveness_timeout),
             checkpoint_every: None,
-            ring: CheckpointRing::new(1),
+            ring: CheckpointRing::new(NonZeroUsize::MIN),
             crashed: vec![false; n],
             down_since: vec![None; n],
             downtime_us: vec![0; n],

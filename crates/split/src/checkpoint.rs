@@ -9,6 +9,7 @@ use crate::config::SplitConfig;
 use crate::trainer::{ConfigError, SpatioTemporalTrainer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use stsl_tensor::Tensor;
 
@@ -96,31 +97,25 @@ pub struct RingLoad {
 /// [`CheckpointRing::load_dir`] persist the ring for crash→restart
 /// recovery; a corrupt entry (e.g. from a crash mid-write) is skipped on
 /// load, so restart lands on the newest *readable* state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CheckpointRing {
-    capacity: usize,
+    capacity: NonZeroUsize,
     entries: VecDeque<Checkpoint>,
 }
 
 impl CheckpointRing {
     /// Creates an empty ring holding at most `capacity` checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        // stsl-audit: allow(panic-reachability, reason = "constructor precondition on a compile-time-chosen capacity; a zero-capacity ring is a programming error, not a runtime condition")
-        assert!(capacity > 0, "checkpoint ring capacity must be positive");
+    pub fn new(capacity: NonZeroUsize) -> Self {
         CheckpointRing {
             capacity,
-            entries: VecDeque::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity.get()),
         }
     }
 
     /// Appends a checkpoint as the newest entry, evicting the oldest when
     /// the ring is full.
     pub fn push(&mut self, checkpoint: Checkpoint) {
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == self.capacity.get() {
             self.entries.pop_front();
         }
         self.entries.push_back(checkpoint);
@@ -149,7 +144,7 @@ impl CheckpointRing {
 
     /// Maximum checkpoints held.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity.get()
     }
 
     /// Persists the ring to `dir` as `ring-0.json` (oldest) through
@@ -182,14 +177,14 @@ impl CheckpointRing {
     /// than fatal: surviving a partially written newest entry is exactly
     /// what the ring is for. An empty or missing directory yields an
     /// empty ring.
-    pub fn load_dir(dir: impl AsRef<Path>, capacity: usize) -> CheckpointRing {
+    pub fn load_dir(dir: impl AsRef<Path>, capacity: NonZeroUsize) -> CheckpointRing {
         Self::load_dir_traced(dir, capacity).ring
     }
 
     /// Like [`CheckpointRing::load_dir`], but reports every skipped entry
     /// as a path-annotated [`std::io::Error`] so callers can trace the
     /// data loss instead of discovering it by a shorter ring.
-    pub fn load_dir_traced(dir: impl AsRef<Path>, capacity: usize) -> RingLoad {
+    pub fn load_dir_traced(dir: impl AsRef<Path>, capacity: NonZeroUsize) -> RingLoad {
         let dir = dir.as_ref();
         let mut ring = CheckpointRing::new(capacity);
         let mut skipped = Vec::new();
@@ -262,6 +257,10 @@ mod tests {
         SyntheticCifar::new(seed)
             .difficulty(0.05)
             .generate_sized(n, 16)
+    }
+
+    fn cap(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
     }
 
     #[test]
@@ -359,7 +358,7 @@ mod tests {
         let train = data(24, 10);
         let cfg = SplitConfig::tiny(CutPoint(1), 2).epochs(1).seed(10);
         let mut t = SpatioTemporalTrainer::new(cfg, &train).unwrap();
-        let mut ring = CheckpointRing::new(2);
+        let mut ring = CheckpointRing::new(cap(2));
         assert!(ring.is_empty());
         assert!(ring.latest().is_none());
 
@@ -386,7 +385,7 @@ mod tests {
         let train = data(24, 11);
         let cfg = SplitConfig::tiny(CutPoint(1), 2).epochs(1).seed(11);
         let mut t = SpatioTemporalTrainer::new(cfg, &train).unwrap();
-        let mut ring = CheckpointRing::new(3);
+        let mut ring = CheckpointRing::new(cap(3));
         ring.push(t.checkpoint());
         t.run_epoch(0);
         let good = t.checkpoint();
@@ -397,7 +396,7 @@ mod tests {
         let dir = std::env::temp_dir().join("stsl_ring_test");
         std::fs::remove_dir_all(&dir).ok();
         ring.save_dir(&dir).unwrap();
-        let back = CheckpointRing::load_dir(&dir, 3);
+        let back = CheckpointRing::load_dir(&dir, cap(3));
         assert_eq!(back.len(), 3);
         assert_eq!(
             back.latest().unwrap().server_state,
@@ -408,7 +407,7 @@ mod tests {
         // on the newest *readable* state, and the traced variant names
         // the file that was lost.
         std::fs::write(dir.join("ring-2.json"), "{truncated").unwrap();
-        let degraded = CheckpointRing::load_dir_traced(&dir, 3);
+        let degraded = CheckpointRing::load_dir_traced(&dir, cap(3));
         assert_eq!(degraded.ring.len(), 2);
         assert_eq!(
             degraded.ring.latest().unwrap().server_state,
@@ -422,10 +421,10 @@ mod tests {
             degraded.skipped[0]
         );
         // The untraced wrapper sees the same ring.
-        assert_eq!(CheckpointRing::load_dir(&dir, 3).len(), 2);
+        assert_eq!(CheckpointRing::load_dir(&dir, cap(3)).len(), 2);
 
         // Saving a shorter ring removes the stale third file.
-        let mut short = CheckpointRing::new(3);
+        let mut short = CheckpointRing::new(cap(3));
         short.push(good);
         short.save_dir(&dir).unwrap();
         assert!(dir.join("ring-0.json").exists());
@@ -434,13 +433,7 @@ mod tests {
 
         // A missing directory is an empty ring, not an error.
         std::fs::remove_dir_all(&dir).ok();
-        assert!(CheckpointRing::load_dir(&dir, 3).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_ring_rejected() {
-        CheckpointRing::new(0);
+        assert!(CheckpointRing::load_dir(&dir, cap(3)).is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! and a watchdog on loss and gradient norms triggers rollback to the
 //! [`CheckpointRing`](crate::CheckpointRing) when training diverges anyway.
 
+use std::num::NonZeroUsize;
 use stsl_simnet::{SimDuration, SimTime};
 use stsl_tensor::Tensor;
 
@@ -40,7 +41,7 @@ pub struct GuardConfig {
     /// Learning-rate multiplier applied on every watchdog rollback.
     pub lr_cooldown: f32,
     /// Capacity of the good-checkpoint ring the watchdog rolls back to.
-    pub ring_capacity: usize,
+    pub ring_capacity: NonZeroUsize,
     /// Robust-aggregation outlier threshold: a window member whose L2
     /// distance from the combined gradient exceeds this multiple of the
     /// window's median distance accrues anomaly score like any other
@@ -61,7 +62,7 @@ impl Default for GuardConfig {
             anomaly_decay: 0.5,
             probation: SimDuration::from_millis(500),
             lr_cooldown: 0.5,
-            ring_capacity: 4,
+            ring_capacity: NonZeroUsize::new(4).unwrap_or(NonZeroUsize::MIN),
             outlier_factor: 3.0,
         }
     }

@@ -139,14 +139,8 @@ impl Membership {
     /// Marks `client` as dormant ([`MembershipState::Joining`]) before the
     /// run starts, un-counting its initial admission. Builder-style, used
     /// for end-systems declared in the config whose join event lies in the
-    /// future.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
+    /// future. An out-of-range `client` changes nothing.
     pub fn dormant(mut self, client: usize) -> Self {
-        // stsl-audit: allow(panic-reachability, reason = "builder precondition on config-declared client ids, checked before the run starts; a bad id is a config bug, not runtime input")
-        assert!(client < self.states.len(), "dormant client out of range");
         if let Some(s) = self.states.get_mut(client) {
             if *s == MembershipState::Active {
                 *s = MembershipState::Joining;
@@ -272,6 +266,15 @@ mod tests {
         m.transition(2, MembershipState::Active).unwrap();
         assert_eq!(m.joined(), 3);
         assert!(m.is_active(2));
+        assert!(m.conserves());
+    }
+
+    #[test]
+    fn out_of_range_dormant_changes_nothing() {
+        let m = Membership::new(3).dormant(3).dormant(usize::MAX);
+        assert_eq!(m, Membership::new(3));
+        assert_eq!(m.joined(), 3);
+        assert_eq!(m.active_count(), 3);
         assert!(m.conserves());
     }
 

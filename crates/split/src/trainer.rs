@@ -13,6 +13,7 @@ use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::server::CentralServer;
+use std::num::NonZeroUsize;
 use stsl_data::{ImageDataset, Partition};
 use stsl_nn::metrics::RunningMean;
 use stsl_parallel::{par_map_mut, ChunkPolicy};
@@ -95,7 +96,7 @@ impl SpatioTemporalTrainer {
             comm: CommReport::default(),
             guard: None,
             watchdog: HealthWatchdog::new(&GuardConfig::default()),
-            ring: CheckpointRing::new(1),
+            ring: CheckpointRing::new(NonZeroUsize::MIN),
             anomalies_rejected: 0,
             rollbacks: 0,
             telemetry: None,

@@ -66,6 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ninversion attack vs this L1 encoder: psnr {:.1} dB, ssim {:.3}, dcor {:.3}",
         shallow.psnr_db, shallow.ssim, shallow.dcor
     );
-    println!("(run `cargo run -p stsl-bench --release --bin leakage_sweep` for the full E3 sweep)");
+    println!("(run `cargo run -p stsl-bench --release --bin stsl-exp -- leakage_sweep` for the full E3 sweep)");
     Ok(())
 }

@@ -73,6 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.final_accuracy * 100.0
         );
     }
-    println!("\nsee `cargo run -p stsl-bench --release --bin queue_sweep` for the full E4 sweep");
+    println!("\nsee `cargo run -p stsl-bench --release --bin stsl-exp -- queue_sweep` for the full E4 sweep");
     Ok(())
 }

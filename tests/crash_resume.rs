@@ -86,7 +86,7 @@ fn restart_resumes_from_persisted_ring() {
     // An empty directory resumes nothing but is not an error.
     std::fs::remove_dir_all(&dir).ok();
     let mut fresh = SpatioTemporalTrainer::new(cfg(), &train).unwrap();
-    let empty = CheckpointRing::load_dir(&dir, 4);
+    let empty = CheckpointRing::load_dir(&dir, GuardConfig::default().ring_capacity);
     assert!(!fresh.resume_from_ring(empty).unwrap());
 }
 
