@@ -8,7 +8,8 @@
 //! to stdout only, since it varies by machine). The 64-client row runs
 //! the exact `FleetConfig::crossval64()` configuration that `scale_sweep`
 //! also runs, so `results/scale.json` and `results/fleet.json` overlap
-//! on one point for cross-validation.
+//! on one point for cross-validation. That row always runs at
+//! `FleetConfig::crossval64().seed`; `--seed` moves only the other rows.
 //!
 //! The file is byte-identical across `STSL_THREADS` settings.
 
@@ -136,9 +137,11 @@ pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
     );
     let report = format!(
         "E16 fleet sweep — {source} data, queue {queue}\n\n{table}\
-         * = crossval64 row shared with scale_sweep (results/scale.json).\n\
+         * = crossval64 row shared with scale_sweep (results/scale.json); \
+         it always runs at seed {}, whatever --seed says.\n\
          Model bytes are O(cohorts): constant while clients grow 64 → {}.\n\
          wall clock: {}\n",
+        FleetConfig::crossval64().seed,
         rows.last().map(|r| r.clients).unwrap_or(64),
         wall.join(", ")
     );

@@ -30,7 +30,8 @@ struct Row {
 /// The 64-end-system row that goes through the cohort-sharded fleet path
 /// instead of per-client replicas — the same `FleetConfig::crossval64()`
 /// run that `fleet_sweep` records, so the two result files overlap on
-/// this point (E16 cross-validation).
+/// this point (E16 cross-validation). It always runs at
+/// `FleetConfig::crossval64().seed`, whatever `--seed` says.
 #[derive(Serialize)]
 struct FleetRow {
     end_systems: usize,
@@ -118,8 +119,9 @@ pub(super) fn run(preset: Preset, seed: u64) -> Outcome {
         "{header}\n\n{table}\
          N=1 is vanilla split learning (paper Fig. 1); N>1 is spatio-temporal (Fig. 2).\n\
          Accuracy stays near-flat because every batch still trains the one shared server model.\n\n\
-         N=64 (cohort path, K={}) accuracy {:.1}%  sim time {:.2}s  mean depth {:.2}  {:.0} ev/sim-s\n",
+         N=64 (cohort path, K={}, fixed seed {}) accuracy {:.1}%  sim time {:.2}s  mean depth {:.2}  {:.0} ev/sim-s\n",
         fr.cohorts,
+        stsl_split::FleetConfig::crossval64().seed,
         fr.final_accuracy * 100.0,
         fr.sim_seconds,
         fr.mean_queue_depth,

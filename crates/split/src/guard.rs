@@ -51,6 +51,13 @@ pub struct GuardConfig {
     pub outlier_factor: f32,
 }
 
+/// Checkpoint-ring depth of [`GuardConfig::default`]; a zero here fails
+/// the build.
+const DEFAULT_RING_CAPACITY: NonZeroUsize = match NonZeroUsize::new(4) {
+    Some(n) => n,
+    None => panic!("ring capacity must be nonzero"),
+};
+
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
@@ -62,7 +69,7 @@ impl Default for GuardConfig {
             anomaly_decay: 0.5,
             probation: SimDuration::from_millis(500),
             lr_cooldown: 0.5,
-            ring_capacity: NonZeroUsize::new(4).unwrap_or(NonZeroUsize::MIN),
+            ring_capacity: DEFAULT_RING_CAPACITY,
             outlier_factor: 3.0,
         }
     }
